@@ -87,6 +87,27 @@ def _run_one(
     return 0
 
 
+def _at_least(minimum: int):
+    """argparse ``type`` for an integer flag bounded below by ``minimum``."""
+
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < minimum:
+            raise argparse.ArgumentTypeError(f"must be >= {minimum}, got {value}")
+        return value
+
+    parse.__name__ = "int"
+    return parse
+
+
+def _positive_seconds(text: str) -> float:
+    """argparse ``type`` for a strictly positive duration."""
+    value = float(text)
+    if not value > 0:
+        raise argparse.ArgumentTypeError(f"must be > 0, got {text}")
+    return value
+
+
 def _add_metrics_flags(subparser: argparse.ArgumentParser) -> None:
     subparser.add_argument(
         "--metrics", choices=("off", "summary", "jsonl"), default="off",
@@ -229,7 +250,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     run_parser.add_argument("--pairs", type=int, default=None)
     run_parser.add_argument("--instances", type=int, default=None)
     run_parser.add_argument(
-        "--workers", type=int, default=None,
+        "--workers", type=_at_least(0), default=None,
         help="worker processes for experiments with parallel sweeps "
         "(results are identical for any worker count)",
     )
@@ -239,7 +260,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     all_parser.add_argument("--seed", type=int, default=None)
     all_parser.add_argument("--scale", type=float, default=None)
     all_parser.add_argument(
-        "--workers", type=int, default=None,
+        "--workers", type=_at_least(0), default=None,
         help="worker processes for experiments with parallel sweeps",
     )
     _add_metrics_flags(all_parser)
@@ -266,29 +287,15 @@ def main(argv: Sequence[str] | None = None) -> int:
         "--placement", choices=("top-degree", "greedy-cover"), default="top-degree"
     )
     campaign_parser.add_argument(
-        "--workers", type=int, default=None,
+        "--workers", type=_at_least(0), default=None,
         help="worker processes for the campaign's attack instances",
-    )
-    campaign_parser.add_argument(
-        "--resume", type=str, default=None, metavar="PATH",
-        help="checkpoint journal: finished instances append to PATH as "
-        "they land, and re-running with the same PATH skips them — a "
-        "killed campaign resumes instead of restarting",
-    )
-    campaign_parser.add_argument(
-        "--retries", type=int, default=None, metavar="N",
-        help="attempts per instance before it is quarantined as a "
-        "structured failure (default 3)",
-    )
-    campaign_parser.add_argument(
-        "--task-deadline", type=float, default=None, metavar="SECONDS",
-        help="per-instance deadline in pool mode: a hung worker is "
-        "killed, the pool respawned, and the instance retried",
     )
     _add_engine_mode_flag(campaign_parser)
     _add_backend_flag(campaign_parser)
     _add_topology_flag(campaign_parser)
-    _add_store_flags(campaign_parser)
+    _add_runner_flags(
+        campaign_parser, "instance", "it is quarantined as a structured failure"
+    )
     _add_metrics_flags(campaign_parser)
 
     grid_parser = subparsers.add_parser(
@@ -310,26 +317,13 @@ def main(argv: Sequence[str] | None = None) -> int:
         "cone (default: every AS)",
     )
     grid_parser.add_argument(
-        "--workers", type=int, default=None,
+        "--workers", type=_at_least(0), default=None,
         help="worker processes for the grid cells",
-    )
-    grid_parser.add_argument(
-        "--resume", type=str, default=None, metavar="PATH",
-        help="checkpoint journal: finished cells append to PATH and a "
-        "rerun with the same PATH replays them instead of re-converging",
-    )
-    grid_parser.add_argument(
-        "--retries", type=int, default=None, metavar="N",
-        help="attempts per cell before the grid fails (default 3)",
-    )
-    grid_parser.add_argument(
-        "--task-deadline", type=float, default=None, metavar="SECONDS",
-        help="per-cell deadline in pool mode",
     )
     _add_engine_mode_flag(grid_parser)
     _add_backend_flag(grid_parser)
     _add_topology_flag(grid_parser)
-    _add_store_flags(grid_parser)
+    _add_runner_flags(grid_parser, "cell", "the grid fails")
     _add_metrics_flags(grid_parser)
 
     secpol_parser = subparsers.add_parser(
@@ -370,27 +364,13 @@ def main(argv: Sequence[str] | None = None) -> int:
         "the paper's leaking attacker, which path checks can see)",
     )
     secpol_parser.add_argument(
-        "--workers", type=int, default=None,
+        "--workers", type=_at_least(0), default=None,
         help="worker processes for the deployment points",
-    )
-    secpol_parser.add_argument(
-        "--resume", type=str, default=None, metavar="PATH",
-        help="checkpoint journal for crash/resume; the policy, strategy, "
-        "fraction and seed are part of every task fingerprint, so a "
-        "journal from a different setup replays nothing",
-    )
-    secpol_parser.add_argument(
-        "--retries", type=int, default=None, metavar="N",
-        help="attempts per point before the sweep fails (default 3)",
-    )
-    secpol_parser.add_argument(
-        "--task-deadline", type=float, default=None, metavar="SECONDS",
-        help="per-point deadline in pool mode",
     )
     _add_engine_mode_flag(secpol_parser)
     _add_backend_flag(secpol_parser)
     _add_topology_flag(secpol_parser)
-    _add_store_flags(secpol_parser)
+    _add_runner_flags(secpol_parser, "point", "the sweep fails")
     _add_metrics_flags(secpol_parser)
 
     stream_parser = subparsers.add_parser(
@@ -537,7 +517,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     query_parser.add_argument("--pairs", type=int, default=None)
     query_parser.add_argument("--instances", type=int, default=None)
     query_parser.add_argument(
-        "--workers", type=int, default=None,
+        "--workers", type=_at_least(0), default=None,
         help="worker processes if the experiment has to compute (never "
         "part of the content address: any layout serves any query)",
     )
@@ -558,8 +538,9 @@ def main(argv: Sequence[str] | None = None) -> int:
     store_parser.add_argument(
         "--import-journal", type=str, action="append", default=[],
         metavar="PATH", dest="import_journals",
-        help="lift a legacy --resume checkpoint journal's results into "
-        "the store (repeatable); the journal is left untouched",
+        help="lift the results of a legacy checkpoint journal (what "
+        "--resume wrote in older releases) into the store (repeatable); "
+        "the journal is only read",
     )
 
     args = parser.parse_args(argv)
@@ -625,25 +606,42 @@ def _world(args) -> int:
     return 0
 
 
-def _add_store_flags(subparser: argparse.ArgumentParser) -> None:
+def _add_runner_flags(
+    subparser: argparse.ArgumentParser, unit: str, exhausted: str
+) -> None:
+    """Supervision and store flags for the task-list subcommands."""
     subparser.add_argument(
-        "--store", type=str, default=None, metavar="DIR",
-        help="content-addressed campaign store: cells already computed "
-        "by any earlier run replay from the store, fresh cells stream "
-        "back in (results are unaffected)",
+        "--retries", type=_at_least(1), default=None, metavar="N",
+        help=f"attempts per {unit} before {exhausted} (default 3)",
     )
     subparser.add_argument(
-        "--shards", type=int, default=None, metavar="N",
-        help="split the task space across N work-stealing supervised "
-        "executors (--workers is the pool size per shard); results are "
-        "identical at any shard count",
+        "--task-deadline", type=_positive_seconds, default=None,
+        metavar="SECONDS",
+        help=f"per-{unit} deadline in pool mode: a hung worker is killed, "
+        f"the pool respawned, and the {unit} retried",
+    )
+    subparser.add_argument(
+        "--store", "--resume", type=str, default=None, metavar="DIR",
+        dest="store",
+        help="content-addressed campaign store: results already computed "
+        "by any earlier run replay from the store and fresh ones stream "
+        "in as they land, so a killed run resumes where it stopped "
+        "(results are unaffected); --resume is an alias",
     )
 
 
-def _open_store(args, metrics: RunMetrics | None = None):
-    """Build the CampaignStore named by --store, or None."""
-    if getattr(args, "store", None) is None:
+def _open_store(
+    args, parser: argparse.ArgumentParser, metrics: RunMetrics | None = None
+):
+    """Build the CampaignStore named by --store/--resume, or None."""
+    if args.store is None:
         return None
+    if Path(args.store).is_file():
+        parser.error(
+            f"--store/--resume {args.store} is a file, not a store directory; "
+            "lift a legacy checkpoint journal into a store with "
+            f"'repro-aspp store --store DIR --import-journal {args.store}'"
+        )
     from repro.store import CampaignStore
 
     return CampaignStore(args.store, metrics=metrics)
@@ -748,7 +746,7 @@ def _secpol_sweep(args, parser, metrics: RunMetrics | None = None) -> int:
         if not tier2:
             parser.error("no Tier-2 transit AS available; pass --attacker")
         attacker = min(tier2, key=lambda t: (-len(customer_cone(graph, t)), t))
-    store = _open_store(args, metrics)
+    store = _open_store(args, parser, metrics)
     try:
         results = study.deployment_sweep(
             victim=victim,
@@ -760,10 +758,8 @@ def _secpol_sweep(args, parser, metrics: RunMetrics | None = None) -> int:
             violate_policy=not args.valley_free,
             workers=args.workers,
             metrics=metrics,
-            resume=args.resume,
             retry=_retry_policy(args),
             store=store,
-            shards=args.shards,
         )
     finally:
         if store is not None:
@@ -803,7 +799,7 @@ def _grid(args, parser, metrics: RunMetrics | None = None) -> int:
 
     attackers = top_by_cone(study.world.transit_ases, args.attackers)
     victims = top_by_cone(graph.ases, args.victims)
-    store = _open_store(args, metrics)
+    store = _open_store(args, parser, metrics)
     try:
         results = study.exhaustive_grid(
             padding=args.padding,
@@ -811,10 +807,8 @@ def _grid(args, parser, metrics: RunMetrics | None = None) -> int:
             victim_pool=victims,
             workers=args.workers,
             metrics=metrics,
-            resume=args.resume,
             retry=_retry_policy(args),
             store=store,
-            shards=args.shards,
         )
     finally:
         if store is not None:
@@ -1005,17 +999,15 @@ def _campaign(args, parser, metrics: RunMetrics | None = None) -> int:
     study = _make_study(
         args, parser, monitors=args.monitors, placement=args.placement
     )
-    store = _open_store(args, metrics)
+    store = _open_store(args, parser, metrics)
     try:
         campaign = study.campaign(
             pairs=args.pairs,
             padding=args.padding,
             workers=args.workers,
             metrics=metrics,
-            resume=args.resume,
             retry=retry,
             store=store,
-            shards=args.shards,
         )
     finally:
         if store is not None:

@@ -36,16 +36,11 @@ from repro.measurement.padding_model import PaddingBehaviorModel
 from repro.measurement.ribs import MonitorRIBs, build_monitor_ribs
 from repro.runner import (
     CampaignPairTask,
-    CheckpointJournal,
     FaultPlan,
     RetryPolicy,
     ShardedScheduler,
-    SupervisedExecutor,
     TaskFailure,
-    WorkerContext,
     WorkerSpec,
-    execute_task,
-    resolve_workers,
     sample_attack_pairs,
 )
 from repro.telemetry.metrics import RunMetrics
@@ -270,10 +265,8 @@ class InterceptionStudy:
         violate_policy: bool = True,
         workers: int | None = None,
         metrics: RunMetrics | None = None,
-        resume: str | None = None,
         retry: RetryPolicy | None = None,
         store=None,
-        shards: int | None = None,
     ):
         """Residual pollution per deployment fraction of a security policy.
 
@@ -281,9 +274,9 @@ class InterceptionStudy:
         ``"none"`` for the undefended control) on a ``strategy``-ranked,
         nested deployer set at each fraction and returns the
         :class:`~repro.runner.DeploymentPointResult` list in ``fractions``
-        order.  ``resume``/``retry``/``workers`` behave as in
+        order.  ``store``/``retry``/``workers`` behave as in
         :meth:`campaign`; the security configuration is part of every
-        task fingerprint, so a resumed journal from a different policy
+        task fingerprint, so a store filled under a different policy
         setup replays nothing.
         """
         from repro.experiments.sweeps import deployment_sweep as run_sweep
@@ -300,10 +293,8 @@ class InterceptionStudy:
             violate_policy=violate_policy,
             workers=workers,
             metrics=metrics,
-            checkpoint=resume,
             retry=retry,
             store=store,
-            shards=shards,
         )
 
     def exhaustive_grid(
@@ -314,10 +305,8 @@ class InterceptionStudy:
         victim_pool: list[int] | None = None,
         workers: int | None = None,
         metrics: RunMetrics | None = None,
-        resume: str | None = None,
         retry: RetryPolicy | None = None,
         store=None,
-        shards: int | None = None,
     ):
         """Every attacker × every victim at fixed λ, no sampling.
 
@@ -330,7 +319,7 @@ class InterceptionStudy:
         all ASes).  Dense grids are what delta mode exists for —
         construct the study with ``engine_mode="delta"`` so each victim
         converges once and every cell pays only its affected cone.
-        ``resume`` journals finished cells; a rerun replays them instead
+        ``store`` persists finished cells; a rerun replays them instead
         of re-converging.
         """
         from repro.experiments.sweeps import exhaustive_grid as run_grid
@@ -346,10 +335,8 @@ class InterceptionStudy:
             origin_padding=padding,
             workers=workers,
             metrics=metrics,
-            checkpoint=resume,
             retry=retry,
             store=store,
-            shards=shards,
         )
 
     def campaign(
@@ -362,11 +349,9 @@ class InterceptionStudy:
         rng: random.Random | None = None,
         workers: int | None = None,
         metrics: RunMetrics | None = None,
-        resume: str | None = None,
         retry: RetryPolicy | None = None,
         faults: FaultPlan | None = None,
         store=None,
-        shards: int | None = None,
     ) -> AttackCampaign:
         """Run many random attack instances and detect each one.
 
@@ -378,34 +363,28 @@ class InterceptionStudy:
         out over ``workers`` processes.  The campaign's results are
         bit-identical for every worker count.
 
-        The pooled path runs supervised: a worker that dies mid-batch
-        (OOM, segfault) respawns the pool and re-executes only the
-        affected instances — every task being a pure function of its
+        Execution is supervised: a worker that dies mid-batch (OOM,
+        segfault) respawns the pool and re-executes only the affected
+        instances — every task being a pure function of its
         inputs, recovery is indistinguishable from a fault-free run.
         A task that exhausts its retry budget (``retry``, default 3
         attempts with exponential backoff) lands in
         :attr:`AttackCampaign.failures` as a structured
         :class:`TaskFailure` instead of sinking the campaign.
 
-        ``resume`` names a JSONL checkpoint journal: finished instances
-        append to it as they land, and re-running the same campaign
-        with the same path replays journaled results instead of
-        re-executing them — a killed campaign (crash, Ctrl-C) picks up
-        where it stopped.  ``faults`` injects a deterministic
-        :class:`FaultPlan` (chaos testing only).
+        ``store`` attaches a :class:`~repro.store.CampaignStore`:
+        instances already stored by *any* earlier campaign replay
+        instead of re-running, and fresh instances stream in as they
+        land — a killed campaign (crash, Ctrl-C) picks up where it
+        stopped.  The campaign's results are bit-identical either way.
+        ``faults`` injects a deterministic :class:`FaultPlan` (chaos
+        testing only).
 
         ``metrics`` optionally records engine, cache, worker and
         detection telemetry into a :class:`RunMetrics` registry.
         Deterministic counters and histograms aggregate to the same
         values for every worker count (timers and the per-worker load
         split in the ``info`` section legitimately differ).
-
-        ``store`` attaches a :class:`~repro.store.CampaignStore`
-        (instances already stored by *any* earlier campaign replay
-        instead of re-running, and fresh instances stream back in);
-        ``shards`` splits the instance list across that many
-        work-stealing supervised executors.  Both leave the campaign's
-        results bit-identical to the plain path.
         """
         if pairs < 1:
             raise ExperimentError("a campaign needs at least one pair")
@@ -417,12 +396,11 @@ class InterceptionStudy:
             CampaignPairTask(attacker=attacker, victim=victim, padding=padding)
             for attacker, victim in sampled
         ]
-        enabled = metrics is not None and metrics.enabled
         spec = WorkerSpec(
             self._world.graph,
             monitors=self._monitors,
             max_activations=self._engine.max_activations,
-            metrics_enabled=enabled,
+            metrics_enabled=metrics is not None and metrics.enabled,
             backend=self._engine.backend,
             engine_mode=self._engine.mode,
             fault_plan=faults,
@@ -431,55 +409,15 @@ class InterceptionStudy:
             from repro.store import get_active_store
 
             store = get_active_store()
-        shard_count = 1 if shards is None else shards
-        journal = CheckpointJournal(resume) if resume is not None else None
-        supervise = journal is not None or faults is not None or retry is not None
-        try:
-            if store is not None or shard_count > 1:
-                serial = shard_count == 1 and resolve_workers(workers) == 1
-                with ShardedScheduler(
-                    spec,
-                    shards=shard_count,
-                    workers=workers,
-                    retry=retry,
-                    store=store,
-                    journal=journal,
-                    metrics=metrics,
-                    engine=self._engine if serial else None,
-                ) as scheduler:
-                    outcomes = scheduler.run(tasks)
-            elif resolve_workers(workers) == 1:
-                prev_engine_metrics = self._engine.metrics
-                try:
-                    if supervise:
-                        with SupervisedExecutor(
-                            spec,
-                            workers=1,
-                            engine=self._engine,
-                            metrics=metrics,
-                            retry=retry,
-                            journal=journal,
-                        ) as executor:
-                            outcomes = executor.run(tasks)
-                    else:
-                        context = WorkerContext(
-                            spec, engine=self._engine, metrics=metrics
-                        )
-                        outcomes = [execute_task(task, context) for task in tasks]
-                finally:
-                    self._engine.metrics = prev_engine_metrics
-            else:
-                with SupervisedExecutor(
-                    spec,
-                    workers=workers,
-                    metrics=metrics if enabled else None,
-                    retry=retry,
-                    journal=journal,
-                ) as executor:
-                    outcomes = executor.run(tasks)
-        finally:
-            if journal is not None:
-                journal.close()
+        with ShardedScheduler(
+            spec,
+            workers=workers,
+            retry=retry,
+            store=store,
+            metrics=metrics,
+            engine=self._engine,
+        ) as scheduler:
+            outcomes = scheduler.run(tasks)
         campaign = AttackCampaign(metrics=metrics)
         for outcome in outcomes:
             if isinstance(outcome, TaskFailure):

@@ -4,52 +4,42 @@ Each λ-sweep figure fixes one attacker/victim pair and sweeps the
 number of prepended ASNs; the pair-grid figures fix λ and sweep
 attacker/victim pairs.  Both decompose into independent
 :class:`~repro.runner.SweepPointTask` instances, so they share one
-execution path: serial in-process (with the baseline cache warm across
-points) or fanned out over a process pool.  The task list, and
-therefore the result rows, are identical for every worker count.
-
-The pooled path runs under the :class:`~repro.runner.SupervisedExecutor`
-failure model — a dead worker respawns the pool and re-executes only
-the in-flight points, so a sweep survives worker OOMs/segfaults with
-bit-identical rows.  ``checkpoint`` journals every finished point to a
-JSONL file and a rerun pointed at the same path replays completed
-points instead of re-converging them.  Sweeps need complete data, so a
-task that exhausts its retry budget raises :class:`SimulationError`
-(campaigns, by contrast, collect structured failures).
+execution path, :class:`~repro.runner.ShardedScheduler`: serial
+in-process (with the baseline cache warm across points) or fanned out
+over a supervised process pool.  The task list, and therefore the
+result rows, are identical for every worker count — and under any
+worker crash the pool recovers from, since recovery re-runs only the
+in-flight points.  Sweeps need complete data, so a task that exhausts
+its retry budget raises :class:`SimulationError` (campaigns, by
+contrast, collect structured failures).
 
 When a :class:`~repro.store.CampaignStore` is attached — explicitly via
-``store=`` or ambiently via :func:`repro.store.use_store` — execution
-routes through the :class:`~repro.runner.ShardedScheduler`: cells whose
+``store=`` or ambiently via :func:`repro.store.use_store` — cells whose
 fingerprints are already stored replay from the log (a fully warm
 store performs *zero* engine propagations, not even baseline
-prefetches), only missing cells run (optionally split across
-work-stealing ``shards``), and fresh results stream back for every
-later campaign to reuse.  Rows stay bit-identical either way.
+prefetches), only missing cells run, and fresh results stream back as
+they land, so a killed sweep resumes where it stopped and every later
+campaign reuses them.  Rows stay bit-identical either way.
 """
 
 from __future__ import annotations
 
 from collections.abc import Sequence
-from pathlib import Path
 
 from repro.bgp.engine import PropagationEngine
 from repro.exceptions import SimulationError
 from repro.runner import (
     BaselineCache,
-    CheckpointJournal,
     DeploymentPointResult,
     DeploymentPointTask,
     FaultPlan,
     RetryPolicy,
     ShardedScheduler,
-    SupervisedExecutor,
     SweepPointResult,
     SweepPointTask,
     TaskFailure,
     WorkerContext,
     WorkerSpec,
-    execute_task,
-    resolve_workers,
 )
 from repro.store.active import get_active_store
 from repro.telemetry.metrics import RunMetrics
@@ -98,96 +88,39 @@ def _run_tasks(
     workers: int | None,
     cache: BaselineCache | None,
     metrics: RunMetrics | None = None,
-    checkpoint: str | Path | None = None,
     retry: RetryPolicy | None = None,
     faults: FaultPlan | None = None,
-    fingerprint_context: str | None = None,
     store=None,
-    shards: int | None = None,
 ) -> list:
-    """Run sweep tasks serially on ``engine`` or across a process pool.
+    """Run sweep tasks through the scheduler, serially on ``engine`` or
+    across a process pool.
 
     With ``metrics`` enabled, the serial path records straight into the
     caller's registry (temporarily wiring it into the adopted engine and
     cache), and the pooled path merges the per-task deltas the workers
     ship back, so the deterministic counters come out identical for
-    every worker count.
-
-    A ``store`` (explicit, or ambient via :func:`repro.store.use_store`)
-    or ``shards > 1`` routes execution through the
-    :class:`~repro.runner.ShardedScheduler` — store hits replay without
-    touching the engine, only missing cells are prefetched and run, and
-    fresh results stream back into the store.
+    every worker count.  ``store`` defaults to the ambient one bound by
+    :func:`repro.store.use_store`.
     """
-    enabled = metrics is not None and metrics.enabled
     spec = WorkerSpec(
         engine.graph,
         max_activations=engine.max_activations,
-        metrics_enabled=enabled,
+        metrics_enabled=metrics is not None and metrics.enabled,
         backend=engine.backend,
         engine_mode=engine.mode,
         fault_plan=faults,
     )
-    if store is None:
-        store = get_active_store()
-    shard_count = 1 if shards is None else shards
-    journal = CheckpointJournal(checkpoint) if checkpoint is not None else None
-    supervise = journal is not None or faults is not None or retry is not None
-    try:
-        if store is not None or shard_count > 1:
-            serial = shard_count == 1 and resolve_workers(workers) == 1
-            with ShardedScheduler(
-                spec,
-                shards=shard_count,
-                workers=workers,
-                retry=retry,
-                store=store,
-                journal=journal,
-                fingerprint_context=fingerprint_context,
-                metrics=metrics,
-                engine=engine if serial else None,
-                cache=cache if serial else None,
-                prepare=_prefetch_families,
-            ) as scheduler:
-                return _raise_on_failures(scheduler.run(tasks))
-        if resolve_workers(workers) == 1:
-            prev_engine_metrics = engine.metrics
-            prev_cache_metrics = cache.metrics if cache is not None else None
-            try:
-                if supervise:
-                    with SupervisedExecutor(
-                        spec,
-                        workers=1,
-                        engine=engine,
-                        cache=cache,
-                        metrics=metrics,
-                        retry=retry,
-                        journal=journal,
-                        fingerprint_context=fingerprint_context,
-                    ) as executor:
-                        ctx = executor.context
-                        assert ctx is not None
-                        _prefetch_families(ctx, tasks)
-                        return _raise_on_failures(executor.run(tasks))
-                ctx = WorkerContext(spec, engine=engine, cache=cache, metrics=metrics)
-                _prefetch_families(ctx, tasks)
-                return [execute_task(task, ctx) for task in tasks]
-            finally:
-                engine.metrics = prev_engine_metrics
-                if cache is not None:
-                    cache.metrics = prev_cache_metrics
-        with SupervisedExecutor(
-            spec,
-            workers=workers,
-            metrics=metrics if enabled else None,
-            retry=retry,
-            journal=journal,
-            fingerprint_context=fingerprint_context,
-        ) as executor:
-            return _raise_on_failures(executor.run(tasks))
-    finally:
-        if journal is not None:
-            journal.close()
+    with ShardedScheduler(
+        spec,
+        workers=workers,
+        retry=retry,
+        store=store if store is not None else get_active_store(),
+        metrics=metrics,
+        engine=engine,
+        cache=cache,
+        prepare=_prefetch_families,
+    ) as scheduler:
+        return _raise_on_failures(scheduler.run(tasks))
 
 
 def padding_sweep(
@@ -200,11 +133,9 @@ def padding_sweep(
     workers: int | None = None,
     cache: BaselineCache | None = None,
     metrics: RunMetrics | None = None,
-    checkpoint: str | Path | None = None,
     retry: RetryPolicy | None = None,
     faults: FaultPlan | None = None,
     store=None,
-    shards: int | None = None,
 ) -> list[tuple[int, float, float]]:
     """Run the attack for each λ; return ``(λ, before%, after%)`` rows.
 
@@ -219,9 +150,9 @@ def padding_sweep(
     policy-violating series, whose baselines coincide).  ``metrics``
     optionally records engine/cache/worker telemetry into a
     :class:`RunMetrics` registry without affecting the rows.
-    ``checkpoint`` journals finished points for crash/resume; ``retry``
-    tunes the supervision policy; ``faults`` injects deterministic
-    failures (chaos testing).
+    ``store`` replays stored points and persists fresh ones (crash
+    resume and cross-campaign dedupe); ``retry`` tunes the supervision
+    policy; ``faults`` injects deterministic failures (chaos testing).
     """
     tasks = [
         SweepPointTask(
@@ -238,11 +169,9 @@ def padding_sweep(
         workers=workers,
         cache=cache,
         metrics=metrics,
-        checkpoint=checkpoint,
         retry=retry,
         faults=faults,
         store=store,
-        shards=shards,
     )
     return [result.row() for result in results]
 
@@ -255,18 +184,16 @@ def pair_grid(
     workers: int | None = None,
     cache: BaselineCache | None = None,
     metrics: RunMetrics | None = None,
-    checkpoint: str | Path | None = None,
     retry: RetryPolicy | None = None,
     faults: FaultPlan | None = None,
     store=None,
-    shards: int | None = None,
 ) -> list[SweepPointResult]:
     """Run one fixed-λ attack per ``(attacker, victim)`` pair.
 
     Results come back in ``pairs`` order regardless of worker count.
     Serially, victims recurring across pairs (Figure 7's Tier-1 × Tier-1
     grid) hit the baseline cache instead of re-converging.  See
-    :func:`padding_sweep` for ``checkpoint``/``retry``/``faults``.
+    :func:`padding_sweep` for ``store``/``retry``/``faults``.
     """
     tasks = [
         SweepPointTask(victim=victim, attacker=attacker, padding=origin_padding)
@@ -278,11 +205,9 @@ def pair_grid(
         workers=workers,
         cache=cache,
         metrics=metrics,
-        checkpoint=checkpoint,
         retry=retry,
         faults=faults,
         store=store,
-        shards=shards,
     )
 
 
@@ -295,11 +220,9 @@ def exhaustive_grid(
     workers: int | None = None,
     cache: BaselineCache | None = None,
     metrics: RunMetrics | None = None,
-    checkpoint: str | Path | None = None,
     retry: RetryPolicy | None = None,
     faults: FaultPlan | None = None,
     store=None,
-    shards: int | None = None,
 ) -> list[SweepPointResult]:
     """Every attacker × every victim at fixed λ — the full campaign grid.
 
@@ -307,10 +230,10 @@ def exhaustive_grid(
     outer, ``victims`` inner, self-pairs skipped) instead of drawing a
     sampled pool, which is the coverage the per-pair impact literature
     needs (PAPERS.md: hijack-impact estimation at full grid coverage).
-    The cell order — and therefore the result rows and every journaled
-    fingerprint — is a pure function of the two pools, so a
-    ``checkpoint`` resume replays exactly the completed cells no matter
-    where the previous run died.
+    The cell order — and therefore the result rows and every stored
+    fingerprint — is a pure function of the two pools, so a rerun
+    against the same ``store`` replays exactly the completed cells no
+    matter where the previous run died.
 
     O(attackers × victims) full re-propagations make dense grids
     intractable; run this under a delta-mode engine
@@ -329,11 +252,9 @@ def exhaustive_grid(
         workers=workers,
         cache=cache,
         metrics=metrics,
-        checkpoint=checkpoint,
         retry=retry,
         faults=faults,
         store=store,
-        shards=shards,
     )
 
 
@@ -351,11 +272,9 @@ def deployment_sweep(
     workers: int | None = None,
     cache: BaselineCache | None = None,
     metrics: RunMetrics | None = None,
-    checkpoint: str | Path | None = None,
     retry: RetryPolicy | None = None,
     faults: FaultPlan | None = None,
     store=None,
-    shards: int | None = None,
 ) -> list[DeploymentPointResult]:
     """Run the attack once per deployment fraction of a security policy.
 
@@ -369,10 +288,10 @@ def deployment_sweep(
     "what does one more deployment step buy".  ``violate_policy``
     defaults to True — the paper's leaking attacker, the variant
     path-plausibility defences can actually see.  See
-    :func:`padding_sweep` for ``workers``/``metrics``/``checkpoint``/
+    :func:`padding_sweep` for ``workers``/``metrics``/``store``/
     ``retry``/``faults``; the security configuration itself is carried
-    in the task fingerprints, so a resume against a journal from a
-    different policy setup replays nothing.
+    in the task fingerprints, so a store filled under a different
+    policy setup replays nothing.
     """
     tasks = [
         DeploymentPointTask(
@@ -393,9 +312,7 @@ def deployment_sweep(
         workers=workers,
         cache=cache,
         metrics=metrics,
-        checkpoint=checkpoint,
         retry=retry,
         faults=faults,
         store=store,
-        shards=shards,
     )

@@ -1,42 +1,32 @@
-"""Sweep runner: baseline caching, process-pool fan-out, supervision.
+"""Sweep runner: baseline caching, one supervised scheduler, shared memory.
 
 Sweeps and campaigns are embarrassingly parallel — every (attacker,
 victim, λ) point is an independent propagation — and embarrassingly
 repetitive — every point re-converges a pre-attack baseline some other
 point already computed.  This package attacks both: a
 :class:`BaselineCache` memoises converged baselines (deriving the whole
-uniform-λ family from one canonical run per victim), and a
-:class:`SweepExecutor` fans task batches out over worker processes,
-shipping the topology once per worker and keeping results bit-identical
-to the serial path regardless of worker count.
+uniform-λ family from one canonical run per victim), and every task
+list runs through one :class:`ShardedScheduler`
+(:mod:`repro.runner.scheduler`).  It looks each task's fingerprint up
+in a content-addressed :class:`~repro.store.CampaignStore`, runs only
+the missing tasks — serially in-process or on a process pool that
+receives the topology once per worker through shared memory — and
+streams fresh results back into the store.  Results are bit-identical
+to the serial path for every worker count.
 
-Long campaigns additionally get a failure model:
-:class:`SupervisedExecutor` layers bounded retries with exponential
-backoff, per-task deadlines, pool respawn after worker death, serial
-degradation, and checkpoint/resume through a
-:class:`CheckpointJournal` on top of the same task machinery, with a
-deterministic :class:`FaultPlan` harness (:mod:`repro.runner.faults`)
-so every recovery path is exercised in CI.
-
-:class:`ShardedScheduler` (:mod:`repro.runner.scheduler`) scales the
-supervised path sideways: the fingerprinted task space splits across
-shard-local executors with work-stealing between them, consults a
-content-addressed :class:`~repro.store.CampaignStore` so only missing
-cells run, and streams completed records back — bit-identical to the
-single-pool path at any shard count.
+The scheduler carries the failure model for long campaigns: bounded
+retries with exponential backoff (:class:`RetryPolicy`), per-task
+deadlines, pool respawn after worker death, serial degradation, and
+structured :class:`TaskFailure` quarantine; the store makes a killed
+run resume where it stopped.  A deterministic :class:`FaultPlan`
+harness (:mod:`repro.runner.faults`) exercises every recovery path in
+CI.
 """
 
 from repro.runner.cache import (
     BaselineCache,
     derive_uniform_baseline,
     derive_uniform_family,
-)
-from repro.runner.checkpoint import CheckpointJournal, task_fingerprint
-from repro.runner.executor import (
-    SweepExecutor,
-    available_cpus,
-    execute_task,
-    resolve_workers,
 )
 from repro.runner.faults import (
     FaultPlan,
@@ -45,13 +35,18 @@ from repro.runner.faults import (
     InjectedFaultError,
 )
 from repro.runner.sampling import sample_attack_pairs
-from repro.runner.scheduler import LockedJournal, ShardedScheduler
+from repro.runner.scheduler import (
+    RetryPolicy,
+    ShardedScheduler,
+    TaskFailure,
+    available_cpus,
+    resolve_workers,
+)
 from repro.runner.shm import (
     SharedTopologyHandle,
     attach_topology,
     publish_topology,
 )
-from repro.runner.supervisor import RetryPolicy, SupervisedExecutor, TaskFailure
 from repro.runner.tasks import (
     CampaignPairTask,
     DeploymentPointResult,
@@ -60,24 +55,21 @@ from repro.runner.tasks import (
     SweepPointTask,
     WorkerContext,
     WorkerSpec,
+    task_fingerprint,
 )
 
 __all__ = [
     "BaselineCache",
     "CampaignPairTask",
-    "CheckpointJournal",
     "DeploymentPointResult",
     "DeploymentPointTask",
     "FaultPlan",
     "FaultSpec",
     "InjectedCrashError",
     "InjectedFaultError",
-    "LockedJournal",
     "RetryPolicy",
     "SharedTopologyHandle",
     "ShardedScheduler",
-    "SupervisedExecutor",
-    "SweepExecutor",
     "SweepPointResult",
     "SweepPointTask",
     "TaskFailure",
@@ -88,7 +80,6 @@ __all__ = [
     "publish_topology",
     "derive_uniform_baseline",
     "derive_uniform_family",
-    "execute_task",
     "resolve_workers",
     "sample_attack_pairs",
     "task_fingerprint",

@@ -13,16 +13,19 @@ copies the buffer out, and rebuilds the arrays at C speed.
 The worker copies rather than keeping views into the segment so the
 parent retains sole ownership of the mapping lifetime: after the copy
 the worker closes its attachment immediately and the parent unlinks the
-segment when the executor closes.  Each attachment is also deregistered
-from :mod:`multiprocessing.resource_tracker`, which otherwise counts
-the segment once per worker and logs spurious leaked-resource warnings
-when the parent unlinks it (bpo-38119).
+segment when its pool goes away.  Workers leave the segment's
+:mod:`multiprocessing.resource_tracker` registration alone: pool
+workers share the parent's tracker, which keeps names in a set, so
+attaching re-registers a name it already holds, and the parent's
+``unlink()`` deregisters it exactly once.  A worker-side
+``unregister`` would remove the name early and make that final
+deregistration fail with a ``KeyError`` traceback on stderr.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from multiprocessing import resource_tracker, shared_memory
+from multiprocessing import shared_memory
 
 from repro.bgp.compiled import CompiledTopology
 
@@ -56,17 +59,12 @@ def publish_topology(
 def attach_topology(handle: SharedTopologyHandle) -> CompiledTopology:
     """Rebuild the :class:`CompiledTopology` named by ``handle``.
 
-    Attaches to the segment, copies the payload out, detaches, and
-    deregisters the attachment from the resource tracker (the parent,
-    not the worker, owns the segment's lifetime).
+    Attaches to the segment, copies the payload out and detaches; the
+    parent, not the worker, owns the segment's lifetime.
     """
     segment = shared_memory.SharedMemory(name=handle.name)
     try:
         payload = bytes(segment.buf[: handle.size])
     finally:
-        try:
-            resource_tracker.unregister(segment._name, "shared_memory")
-        except Exception:  # pragma: no cover - tracker API is CPython-internal
-            pass
         segment.close()
     return CompiledTopology.from_payload(payload)

@@ -10,7 +10,9 @@ serial and parallel runners bit-identical by construction.
 
 from __future__ import annotations
 
+import hashlib
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING, Any
 
 from repro.attack.interception import InterceptionResult, simulate_interception
 from repro.bgp.collectors import RouteCollector
@@ -22,7 +24,6 @@ from repro.detection.detector import ASPPInterceptionDetector
 from repro.detection.timing import DetectionTiming, detection_timing
 from repro.exceptions import SimulationError
 from repro.runner.cache import BaselineCache
-from repro.runner.faults import FaultPlan
 from repro.runner.shm import SharedTopologyHandle, attach_topology
 from repro.secpol.deployment import (
     POLICIES,
@@ -36,6 +37,9 @@ from repro.secpol.policies import SecurityPolicy, padding_registry
 from repro.telemetry.metrics import RunMetrics
 from repro.topology.asgraph import ASGraph
 
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.runner.faults import FaultPlan
+
 __all__ = [
     "WorkerSpec",
     "WorkerContext",
@@ -44,7 +48,31 @@ __all__ = [
     "DeploymentPointTask",
     "DeploymentPointResult",
     "CampaignPairTask",
+    "task_fingerprint",
 ]
+
+
+def task_fingerprint(task: Any, context: str | None = None) -> str:
+    """Deterministic identity of a task descriptor.
+
+    Tasks are frozen dataclasses, so their ``repr`` enumerates every
+    field in declaration order; hashing it together with the qualified
+    type name yields a stable fingerprint across processes and runs
+    (no ``PYTHONHASHSEED`` dependence) that changes whenever any input
+    of the task changes.  Security-policy sweeps put the whole
+    deployment configuration (policy, strategy, fraction, seed) in the
+    task's frozen fields, so it is fingerprinted by construction.
+
+    ``context`` folds run-level configuration that lives *outside* the
+    task descriptor (an engine-level policy object, a custom world
+    build) into the digest, so ``--resume`` can never replay a
+    journaled result computed under a different setup that happened to
+    share the same task fields.
+    """
+    identity = f"{type(task).__module__}.{type(task).__qualname__}|{task!r}"
+    if context:
+        identity += f"|ctx:{context}"
+    return hashlib.sha256(identity.encode("utf-8")).hexdigest()
 
 
 @dataclass(frozen=True)

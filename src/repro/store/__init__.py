@@ -1,8 +1,8 @@
 """Content-addressed campaign store: compute any cell once, ever.
 
-The store keys results by the same sha256 task fingerprints the
-checkpoint journal uses, so campaigns, sweeps, grids and figures all
-dedupe against one shared append-only log:
+The store keys results by the same sha256 task fingerprints the runner's
+scheduler uses, so campaigns, sweeps, grids and figures all dedupe
+against one shared append-only log:
 
     from repro.store import CampaignStore, query_experiment
 
@@ -11,23 +11,21 @@ dedupe against one shared append-only log:
     again = query_experiment(store, "fig09")    # pure store hit, zero engine work
     assert again.from_store and again.result.rows == first.result.rows
 
-Layered modules: :mod:`~repro.store.store` (the log + index),
-:mod:`~repro.store.adapter` (checkpoint-journal bridge),
+Layered modules: :mod:`~repro.store.store` (the log + index, and the
+read-only :func:`import_journal` for legacy checkpoint journals),
 :mod:`~repro.store.query` (experiment-level serving) and
 :mod:`~repro.store.active` (ambient binding the sweep layer consults).
 """
 
 from repro.store.active import get_active_store, use_store
-from repro.store.adapter import StoreJournal, import_journal
 from repro.store.query import QueryOutcome, experiment_fingerprint, query_experiment
-from repro.store.store import MISSING, SCHEMA_VERSION, CampaignStore
+from repro.store.store import MISSING, SCHEMA_VERSION, CampaignStore, import_journal
 
 __all__ = [
     "MISSING",
     "SCHEMA_VERSION",
     "CampaignStore",
     "QueryOutcome",
-    "StoreJournal",
     "experiment_fingerprint",
     "get_active_store",
     "import_journal",

@@ -9,8 +9,8 @@ persists fresh results — every existing experiment becomes an
 incremental job without touching its module.
 
 The binding is a :class:`contextvars.ContextVar`, so it is safe under
-threads (each scheduler shard sees the binding of the context that
-spawned it) and never leaks across unrelated runs.
+threads (each thread sees the binding of the context that spawned it)
+and never leaks across unrelated runs.
 """
 
 from __future__ import annotations

@@ -57,7 +57,7 @@ class QueryOutcome:
 def experiment_fingerprint(experiment_id: str, config: Any) -> str:
     """Content address of one experiment run: id + frozen config repr.
 
-    Mirrors :func:`~repro.runner.checkpoint.task_fingerprint` — configs
+    Mirrors :func:`~repro.runner.tasks.task_fingerprint` — configs
     are frozen dataclasses whose ``repr`` enumerates every field in
     declaration order, so the digest is stable across processes and
     changes whenever any result-shaping input changes.

@@ -1,12 +1,13 @@
 """Content-addressed campaign result store.
 
 Every runner task is a pure function of its frozen descriptor, and
-:func:`~repro.runner.checkpoint.task_fingerprint` already gives each
+:func:`~repro.runner.tasks.task_fingerprint` already gives each
 descriptor a stable sha256 identity.  :class:`CampaignStore` turns that
 identity into an address: one append-only JSONL record log per store,
 one record per fingerprint, so a grid cell converged by *any* campaign,
 sweep or figure is never recomputed by a later one — cross-campaign
-dedupe instead of per-run throwaway journals.
+dedupe instead of per-run throwaway journals (:func:`import_journal`
+lifts a journal written by older releases into a store).
 
 Durability model
 ----------------
@@ -29,10 +30,9 @@ Compaction rewrites into a temp file and ``os.replace``-s it into
 place, so readers never observe a half-written log; run it quiescent
 (no concurrent appenders), like any log rotation.
 
-Payloads are pickles (base64-armoured inside the JSON record), exactly
-like :class:`~repro.runner.checkpoint.CheckpointJournal` — a store is a
-private artefact of the machines that share it; do not load stores
-from untrusted sources.
+Payloads are pickles (base64-armoured inside the JSON record) — a
+store is a private artefact of the machines that share it; do not load
+stores from untrusted sources.
 
 Telemetry lands on the attached registry under ``store.*``:
 ``store.{hits,misses,puts,bytes,dedup_writes,compactions}`` plus
@@ -54,7 +54,14 @@ from typing import Any, Iterator
 from repro.exceptions import SimulationError
 from repro.telemetry.metrics import RunMetrics
 
-__all__ = ["MISSING", "SCHEMA_VERSION", "CampaignStore", "decode_record", "encode_record"]
+__all__ = [
+    "MISSING",
+    "SCHEMA_VERSION",
+    "CampaignStore",
+    "decode_record",
+    "encode_record",
+    "import_journal",
+]
 
 #: bump when the record layout changes; readers skip newer records.
 SCHEMA_VERSION = 1
@@ -394,3 +401,31 @@ class CampaignStore:
 
     def __exit__(self, *exc: object) -> None:
         self.close()
+
+
+def import_journal(path: str | Path, store: CampaignStore) -> int:
+    """Copy a legacy checkpoint journal's successes into ``store``.
+
+    Older releases checkpointed runs into a private JSONL journal: one
+    ``{"fp", "status", "payload"}`` record per settled task, the last
+    record per fingerprint winning, and the same pickle armour as store
+    payloads.  Only fingerprints whose last record is an ``"ok"`` with a
+    payload are lifted — failure records are skipped so the next run
+    retries them — and undecodable lines (a truncated final append) or
+    non-record JSON are ignored.  The journal file is only read.
+    Returns how many records were new to the store.
+    """
+    latest: dict[str, dict[str, Any]] = {}
+    with open(path, "r", encoding="utf-8") as handle:
+        for line in handle:
+            try:
+                record = json.loads(line)
+            except json.JSONDecodeError:
+                continue
+            if isinstance(record, dict) and "fp" in record:
+                latest[str(record["fp"])] = record
+    imported = 0
+    for fingerprint, record in latest.items():
+        if record.get("status") == "ok" and "payload" in record:
+            imported += store.put(fingerprint, _decode_payload(record["payload"]))
+    return imported

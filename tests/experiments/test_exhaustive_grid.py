@@ -1,5 +1,5 @@
 """Golden test: the exhaustive grid under delta mode vs per-pair full
-recompute, plus checkpoint/resume semantics over grid cells.
+recompute, plus store-backed resume semantics over grid cells.
 
 The exhaustive grid is the campaign mode delta propagation exists for,
 so its correctness bar is the strictest: every cell of the delta-mode
@@ -20,6 +20,7 @@ from repro.bgp.prepending import PrependingPolicy
 from repro.exceptions import SimulationError
 from repro.experiments.sweeps import exhaustive_grid
 from repro.runner import SweepPointResult
+from repro.store import CampaignStore
 from repro.telemetry.metrics import RunMetrics
 from tests.strategies import TINY, tiny_world
 
@@ -110,67 +111,65 @@ def test_grid_rejects_empty_cross_product(grid_world):
 def test_checkpoint_resume_replays_every_completed_cell(
     grid_world, grid_pools, tmp_path
 ):
-    """A rerun against a complete journal must replay all cells and
+    """A rerun against a complete store must replay all cells and
     re-converge none of them: zero attack floods, identical results."""
     attackers, victims = grid_pools
     graph = grid_world.graph
-    journal = tmp_path / "grid.jsonl"
+    with CampaignStore(tmp_path / "grid") as store:
+        engine = PropagationEngine(graph, backend="compiled", mode="delta")
+        first = exhaustive_grid(
+            engine,
+            attackers=attackers,
+            victims=victims,
+            origin_padding=PADDING,
+            store=store,
+        )
 
-    engine = PropagationEngine(graph, backend="compiled", mode="delta")
-    first = exhaustive_grid(
-        engine,
-        attackers=attackers,
-        victims=victims,
-        origin_padding=PADDING,
-        checkpoint=journal,
-    )
-
-    rerun_engine = PropagationEngine(graph, backend="compiled", mode="delta")
-    metrics = RunMetrics()
-    second = exhaustive_grid(
-        rerun_engine,
-        attackers=attackers,
-        victims=victims,
-        origin_padding=PADDING,
-        checkpoint=journal,
-        metrics=metrics,
-    )
-    assert second == first
-    assert metrics.counter_value("runner.resumed_tasks") == len(first)
-    # Replayed cells never touch the engine: no delta floods, no full
-    # warm floods (baseline prefetch may still converge canonically).
-    assert metrics.counter_value("engine.delta.propagations") == 0
-    assert metrics.counter_value("engine.warm.propagations") == 0
+        rerun_engine = PropagationEngine(graph, backend="compiled", mode="delta")
+        metrics = RunMetrics()
+        second = exhaustive_grid(
+            rerun_engine,
+            attackers=attackers,
+            victims=victims,
+            origin_padding=PADDING,
+            store=store,
+            metrics=metrics,
+        )
+        assert second == first
+        assert metrics.counter_value("scheduler.store_hits") == len(first)
+        # Replayed cells never touch the engine: no delta floods, no full
+        # warm floods (baseline prefetch may still converge canonically).
+        assert metrics.counter_value("engine.delta.propagations") == 0
+        assert metrics.counter_value("engine.warm.propagations") == 0
 
 
 def test_checkpoint_resume_runs_only_missing_cells(grid_world, grid_pools, tmp_path):
-    """A journal from a *partial* grid replays exactly its cells and
+    """A store from a *partial* grid replays exactly its cells and
     converges only the remainder."""
     attackers, victims = grid_pools
     graph = grid_world.graph
-    journal = tmp_path / "partial.jsonl"
+    with CampaignStore(tmp_path / "partial") as store:
+        engine = PropagationEngine(graph, backend="compiled", mode="delta")
+        partial = exhaustive_grid(
+            engine,
+            attackers=attackers[:3],
+            victims=victims,
+            origin_padding=PADDING,
+            store=store,
+        )
 
-    engine = PropagationEngine(graph, backend="compiled", mode="delta")
-    partial = exhaustive_grid(
-        engine,
-        attackers=attackers[:3],
-        victims=victims,
-        origin_padding=PADDING,
-        checkpoint=journal,
-    )
-
-    rerun_engine = PropagationEngine(graph, backend="compiled", mode="delta")
-    metrics = RunMetrics()
-    rerun_engine.metrics = metrics
-    full = exhaustive_grid(
-        rerun_engine,
-        attackers=attackers,
-        victims=victims,
-        origin_padding=PADDING,
-        checkpoint=journal,
-        metrics=metrics,
-    )
-    assert full[: len(partial)] == partial
-    fresh = len(full) - len(partial)
-    assert metrics.counter_value("runner.resumed_tasks") == len(partial)
-    assert metrics.counter_value("engine.delta.propagations") == fresh
+        rerun_engine = PropagationEngine(graph, backend="compiled", mode="delta")
+        metrics = RunMetrics()
+        rerun_engine.metrics = metrics
+        full = exhaustive_grid(
+            rerun_engine,
+            attackers=attackers,
+            victims=victims,
+            origin_padding=PADDING,
+            store=store,
+            metrics=metrics,
+        )
+        assert full[: len(partial)] == partial
+        fresh = len(full) - len(partial)
+        assert metrics.counter_value("scheduler.store_hits") == len(partial)
+        assert metrics.counter_value("engine.delta.propagations") == fresh

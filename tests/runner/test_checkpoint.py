@@ -1,21 +1,20 @@
-"""Checkpoint journal: fingerprints, round-trips, crash tolerance."""
+"""Checkpoint/resume: task fingerprints, replay from the campaign
+store's record log (the run's journal), and the retry policy."""
 
 from __future__ import annotations
-
-import json
 
 import pytest
 
 from repro.runner import (
     CampaignPairTask,
-    CheckpointJournal,
     DeploymentPointTask,
     RetryPolicy,
-    SupervisedExecutor,
+    ShardedScheduler,
     SweepPointTask,
     WorkerSpec,
     task_fingerprint,
 )
+from repro.store import CampaignStore
 from repro.telemetry.metrics import RunMetrics
 
 TASK = SweepPointTask(victim=10, attacker=20, padding=3)
@@ -73,63 +72,6 @@ class TestFingerprints:
         assert task_fingerprint(TASK, "a") != task_fingerprint(TASK, "b")
 
 
-class TestJournal:
-    def test_round_trip(self, tmp_path):
-        path = tmp_path / "journal.jsonl"
-        fp = task_fingerprint(TASK)
-        with CheckpointJournal(path) as journal:
-            assert not journal.completed(fp)
-            journal.record_success(fp, {"rows": [1, 2, 3]})
-            assert journal.completed(fp)
-        reloaded = CheckpointJournal(path)
-        assert reloaded.completed(fp)
-        assert reloaded.result_for(fp) == {"rows": [1, 2, 3]}
-        assert reloaded.completed_count == 1
-        assert len(reloaded) == 1
-
-    def test_failure_records_are_not_completed(self, tmp_path):
-        path = tmp_path / "journal.jsonl"
-        fp = task_fingerprint(TASK)
-        with CheckpointJournal(path) as journal:
-            journal.record_failure(fp, kind="deadline", attempts=3, error="hung")
-        reloaded = CheckpointJournal(path)
-        # A journaled failure documents the quarantine but must not be
-        # replayed as a result — resume retries the task from scratch.
-        assert not reloaded.completed(fp)
-        assert reloaded.completed_count == 0
-        assert len(reloaded) == 1
-
-    def test_tolerates_truncated_final_line(self, tmp_path):
-        """A crash mid-append leaves a partial line; load keeps every
-        record before it."""
-        path = tmp_path / "journal.jsonl"
-        fp = task_fingerprint(TASK)
-        with CheckpointJournal(path) as journal:
-            journal.record_success(fp, (4.0, 5.0))
-        with open(path, "a", encoding="utf-8") as handle:
-            handle.write('{"fingerprint": "abc", "status": "ok", "payl')
-        reloaded = CheckpointJournal(path)
-        assert reloaded.completed(fp)
-        assert reloaded.result_for(fp) == (4.0, 5.0)
-        assert not reloaded.completed("abc")
-
-    def test_ignores_non_record_json(self, tmp_path):
-        path = tmp_path / "journal.jsonl"
-        path.write_text(json.dumps({"unrelated": True}) + "\n[1, 2]\n")
-        journal = CheckpointJournal(path)
-        assert journal.completed_count == 0
-
-    def test_success_overrides_earlier_failure(self, tmp_path):
-        path = tmp_path / "journal.jsonl"
-        fp = task_fingerprint(TASK)
-        with CheckpointJournal(path) as journal:
-            journal.record_failure(fp, kind="error", attempts=3, error="boom")
-            journal.record_success(fp, "fine")
-        reloaded = CheckpointJournal(path)
-        assert reloaded.completed(fp)
-        assert reloaded.result_for(fp) == "fine"
-
-
 class TestResume:
     PADDINGS = tuple(range(1, 6))
 
@@ -140,54 +82,51 @@ class TestResume:
             for p in self.PADDINGS
         ]
 
-    def _run(self, world, tasks, journal_path, metrics, *, context=None):
+    def _run(self, world, tasks, root, metrics, *, context=None):
         spec = WorkerSpec(world.graph, metrics_enabled=True)
-        journal = CheckpointJournal(journal_path)
-        try:
-            with SupervisedExecutor(
+        with CampaignStore(root) as store:
+            with ShardedScheduler(
                 spec,
-                workers=1,
                 metrics=metrics,
                 retry=RetryPolicy(backoff_base=0.01),
-                journal=journal,
+                store=store,
                 fingerprint_context=context,
-            ) as executor:
-                return executor.run(tasks)
-        finally:
-            journal.close()
+            ) as scheduler:
+                return scheduler.run(tasks)
 
     def test_full_journal_executes_nothing(self, small_world, tmp_path):
         tasks = self._tasks(small_world)
-        path = tmp_path / "sweep.jsonl"
+        root = tmp_path / "store"
         first = RunMetrics()
-        reference = self._run(small_world, tasks, path, first)
+        reference = self._run(small_world, tasks, root, first)
         assert first.counter_value("worker.tasks") == len(tasks)
 
         second = RunMetrics()
-        replayed = self._run(small_world, tasks, path, second)
+        replayed = self._run(small_world, tasks, root, second)
         assert replayed == reference
         assert second.counter_value("worker.tasks") == 0
-        assert second.counter_value("runner.resumed_tasks") == len(tasks)
+        assert second.counter_value("scheduler.store_hits") == len(tasks)
 
     def test_partial_journal_executes_only_the_rest(self, small_world, tmp_path):
         tasks = self._tasks(small_world)
-        path = tmp_path / "sweep.jsonl"
-        reference = self._run(small_world, tasks, path, RunMetrics())
+        root = tmp_path / "store"
+        reference = self._run(small_world, tasks, root, RunMetrics())
         keep = 2
-        lines = path.read_text().splitlines()
-        path.write_text("\n".join(lines[:keep]) + "\n")
+        log = root / "records.jsonl"
+        lines = log.read_text().splitlines()
+        log.write_text("\n".join(lines[:keep]) + "\n")
 
         metrics = RunMetrics()
-        resumed = self._run(small_world, tasks, path, metrics)
+        resumed = self._run(small_world, tasks, root, metrics)
         assert resumed == reference
         assert metrics.counter_value("worker.tasks") == len(tasks) - keep
-        assert metrics.counter_value("runner.resumed_tasks") == keep
+        assert metrics.counter_value("scheduler.store_hits") == keep
 
     def test_journal_only_skips_matching_tasks(self, small_world, tmp_path):
-        """A journal from one sweep must not poison a different one."""
+        """A store filled by one sweep must not poison a different one."""
         tasks = self._tasks(small_world)
-        path = tmp_path / "sweep.jsonl"
-        self._run(small_world, tasks, path, RunMetrics())
+        root = tmp_path / "store"
+        self._run(small_world, tasks, root, RunMetrics())
 
         other_attacker = small_world.tier1[2]
         victim = small_world.tier1[0]
@@ -196,9 +135,9 @@ class TestResume:
             for p in self.PADDINGS
         ]
         metrics = RunMetrics()
-        self._run(small_world, other_tasks, path, metrics)
+        self._run(small_world, other_tasks, root, metrics)
         assert metrics.counter_value("worker.tasks") == len(other_tasks)
-        assert metrics.counter_value("runner.resumed_tasks") == 0
+        assert metrics.counter_value("scheduler.store_hits") == 0
 
     def test_fingerprint_context_prevents_cross_setup_replay(
         self, small_world, tmp_path
@@ -206,23 +145,23 @@ class TestResume:
         """The same tasks under a different run-level context compute
         fresh results; the same context replays them all."""
         tasks = self._tasks(small_world)
-        path = tmp_path / "sweep.jsonl"
+        root = tmp_path / "store"
         reference = self._run(
-            small_world, tasks, path, RunMetrics(), context="setup-a"
+            small_world, tasks, root, RunMetrics(), context="setup-a"
         )
 
         other = RunMetrics()
-        self._run(small_world, tasks, path, other, context="setup-b")
+        self._run(small_world, tasks, root, other, context="setup-b")
         assert other.counter_value("worker.tasks") == len(tasks)
-        assert other.counter_value("runner.resumed_tasks") == 0
+        assert other.counter_value("scheduler.store_hits") == 0
 
         same = RunMetrics()
         replayed = self._run(
-            small_world, tasks, path, same, context="setup-a"
+            small_world, tasks, root, same, context="setup-a"
         )
         assert replayed == reference
         assert same.counter_value("worker.tasks") == 0
-        assert same.counter_value("runner.resumed_tasks") == len(tasks)
+        assert same.counter_value("scheduler.store_hits") == len(tasks)
 
 
 class TestValidation:

@@ -7,7 +7,7 @@ task is a pure function of its descriptor and recovery simply re-runs
 it.  These tests inject each failure mode through a seeded/scripted
 :class:`FaultPlan` and assert bit-identical results against a
 fault-free serial reference — plus structured :class:`TaskFailure`
-quarantine for tasks that can never succeed, and journal-based resume
+quarantine for tasks that can never succeed, and store-based resume
 that provably re-executes nothing (the ``worker.tasks`` counter only
 moves for attempts that actually completed).
 """
@@ -23,11 +23,10 @@ from repro.exceptions import SimulationError
 from repro.experiments.sweeps import padding_sweep
 from repro.runner import (
     CampaignPairTask,
-    CheckpointJournal,
     FaultPlan,
     FaultSpec,
     RetryPolicy,
-    SupervisedExecutor,
+    ShardedScheduler,
     SweepPointTask,
     TaskFailure,
     WorkerContext,
@@ -35,6 +34,7 @@ from repro.runner import (
     sample_attack_pairs,
     task_fingerprint,
 )
+from repro.store import CampaignStore
 from repro.telemetry.metrics import RunMetrics
 from repro.utils.rand import derive_rng, make_rng
 
@@ -68,10 +68,10 @@ class TestPoolCrashRecovery:
         )
         spec = WorkerSpec(small_world.graph, metrics_enabled=True, fault_plan=plan)
         metrics = RunMetrics()
-        with SupervisedExecutor(
+        with ShardedScheduler(
             spec, workers=2, force_processes=True, metrics=metrics, retry=FAST
-        ) as executor:
-            results = executor.run(tasks)
+        ) as scheduler:
+            results = scheduler.run(tasks)
         assert results == reference
         # At least one worker died and took the pool with it...
         assert metrics.counter_value("runner.pool_restarts") >= 1
@@ -88,13 +88,13 @@ class TestPoolCrashRecovery:
             {tasks[0]: FaultSpec("crash", attempts=(0, 1))}
         )
         spec = WorkerSpec(small_world.graph, fault_plan=plan)
-        with SupervisedExecutor(
+        with ShardedScheduler(
             spec,
             workers=2,
             force_processes=True,
             retry=RetryPolicy(max_attempts=4, backoff_base=0.01, backoff_max=0.05),
-        ) as executor:
-            assert executor.run(tasks) == reference
+        ) as scheduler:
+            assert scheduler.run(tasks) == reference
 
 
 class TestDeadlines:
@@ -107,10 +107,10 @@ class TestDeadlines:
         spec = WorkerSpec(small_world.graph, metrics_enabled=True, fault_plan=plan)
         metrics = RunMetrics()
         policy = RetryPolicy(deadline=1.0, backoff_base=0.01, backoff_max=0.05)
-        with SupervisedExecutor(
+        with ShardedScheduler(
             spec, workers=2, force_processes=True, metrics=metrics, retry=policy
-        ) as executor:
-            results = executor.run(tasks)
+        ) as scheduler:
+            results = scheduler.run(tasks)
         assert results == reference
         assert metrics.counter_value("runner.deadline_kills") >= 1
         assert metrics.counter_value("runner.pool_restarts") >= 1
@@ -124,8 +124,8 @@ class TestDeadlines:
             {engine_tasks[0]: FaultSpec("hang", attempts=(0,), hang_seconds=0.2)}
         )
         spec = WorkerSpec(small_world.graph, fault_plan=plan)
-        with SupervisedExecutor(spec, workers=1, retry=FAST) as executor:
-            assert executor.run(engine_tasks) == reference
+        with ShardedScheduler(spec, workers=1, retry=FAST) as scheduler:
+            assert scheduler.run(engine_tasks) == reference
 
 
 class TestQuarantine:
@@ -138,10 +138,10 @@ class TestQuarantine:
         )
         spec = WorkerSpec(small_world.graph, metrics_enabled=True, fault_plan=plan)
         metrics = RunMetrics()
-        with SupervisedExecutor(
+        with ShardedScheduler(
             spec, workers=2, force_processes=True, metrics=metrics, retry=FAST
-        ) as executor:
-            results = executor.run(tasks)
+        ) as scheduler:
+            results = scheduler.run(tasks)
         for index, result in enumerate(results):
             if index == 3:
                 continue
@@ -273,41 +273,44 @@ class TestCampaignChaos:
         assert campaign.results == surviving
 
     def test_killed_campaign_resumes_without_rerunning(self, study, tmp_path):
-        """Emulate a crash-after-3-instances by truncating the journal,
-        then resume: only the missing instances execute."""
+        """Emulate a crash-after-3-instances by truncating the store's
+        record log, then resume: only the missing instances execute."""
         reference = study.campaign(pairs=self.PAIRS, padding=3)
-        path = tmp_path / "campaign.jsonl"
-        first = study.campaign(pairs=self.PAIRS, padding=3, resume=str(path))
+        root = tmp_path / "store"
+        with CampaignStore(root) as store:
+            first = study.campaign(pairs=self.PAIRS, padding=3, store=store)
         assert first.results == reference.results
-        lines = path.read_text().splitlines()
+        log = root / "records.jsonl"
+        lines = log.read_text().splitlines()
         assert len(lines) == self.PAIRS
         keep = 3
-        path.write_text("\n".join(lines[:keep]) + "\n")
+        log.write_text("\n".join(lines[:keep]) + "\n")
 
         metrics = RunMetrics()
-        resumed = study.campaign(
-            pairs=self.PAIRS, padding=3, resume=str(path), metrics=metrics
-        )
+        with CampaignStore(root) as store:
+            resumed = study.campaign(
+                pairs=self.PAIRS, padding=3, store=store, metrics=metrics
+            )
         assert resumed.results == reference.results
         assert resumed.timings == reference.timings
-        # The journal replayed the first three instances; only the rest
+        # The store replayed the first three instances; only the rest
         # were executed (worker.tasks counts completed executions).
-        assert metrics.counter_value("runner.resumed_tasks") == keep
+        assert metrics.counter_value("scheduler.store_hits") == keep
         assert metrics.counter_value("worker.tasks") == self.PAIRS - keep
-        # The journal is now complete again: a third run executes nothing.
+        # The store is now complete again: a third run executes nothing.
         metrics_again = RunMetrics()
-        study.campaign(
-            pairs=self.PAIRS, padding=3, resume=str(path), metrics=metrics_again
-        )
+        with CampaignStore(root) as store:
+            study.campaign(
+                pairs=self.PAIRS, padding=3, store=store, metrics=metrics_again
+            )
         assert metrics_again.counter_value("worker.tasks") == 0
-        assert metrics_again.counter_value("runner.resumed_tasks") == self.PAIRS
+        assert metrics_again.counter_value("scheduler.store_hits") == self.PAIRS
 
     def test_resume_journal_replays_across_pool_and_serial(self, study, tmp_path):
-        """A journal written by one execution mode resumes in another."""
+        """A store filled by one execution mode resumes in another."""
         reference = study.campaign(pairs=self.PAIRS, padding=3)
-        path = tmp_path / "cross.jsonl"
-        study.campaign(pairs=self.PAIRS, padding=3, workers=2, resume=str(path))
-        journal = CheckpointJournal(path)
-        assert journal.completed_count == self.PAIRS
-        resumed = study.campaign(pairs=self.PAIRS, padding=3, resume=str(path))
+        with CampaignStore(tmp_path / "cross") as store:
+            study.campaign(pairs=self.PAIRS, padding=3, workers=2, store=store)
+            assert len(store) == self.PAIRS
+            resumed = study.campaign(pairs=self.PAIRS, padding=3, store=store)
         assert resumed.results == reference.results

@@ -1,24 +1,24 @@
-"""ShardedScheduler: bit-identity at any shard count, store dedupe,
-work-stealing discipline, supervision composition."""
+"""ShardedScheduler: bit-identity at any worker count, store dedupe and
+write-back, quarantine semantics, engine adoption and lifecycle."""
 
 from __future__ import annotations
-
-from collections import deque
 
 import pytest
 
 from repro.bgp.engine import PropagationEngine
 from repro.exceptions import SimulationError
 from repro.runner import (
-    CheckpointJournal,
+    BaselineCache,
     FaultPlan,
+    FaultSpec,
     RetryPolicy,
     ShardedScheduler,
-    SupervisedExecutor,
     SweepPointTask,
+    TaskFailure,
+    WorkerContext,
     WorkerSpec,
+    task_fingerprint,
 )
-from repro.runner.scheduler import _QueuedTask
 from repro.store import CampaignStore
 from repro.telemetry.metrics import RunMetrics
 
@@ -35,38 +35,40 @@ def _tasks(world, count=10):
     ]
 
 
-def _single_pool_reference(world, tasks, *, retry=None, fault_plan=None):
-    spec = WorkerSpec(world.graph, fault_plan=fault_plan)
-    with SupervisedExecutor(spec, workers=1, retry=retry) as executor:
-        return executor.run(tasks)
+def _serial_reference(world, tasks):
+    ctx = WorkerContext(WorkerSpec(world.graph))
+    return [task.run(ctx) for task in tasks]
 
 
-class TestBitIdentityAcrossShards:
-    @pytest.mark.parametrize("shards", [1, 2, 4])
-    def test_matches_single_pool(self, small_world, shards):
+class TestBitIdentityAcrossWorkers:
+    @pytest.mark.parametrize("workers", [1, 2, 4])
+    def test_matches_serial_reference(self, small_world, workers):
         tasks = _tasks(small_world)
-        reference = _single_pool_reference(small_world, tasks)
+        reference = _serial_reference(small_world, tasks)
         with ShardedScheduler(
-            WorkerSpec(small_world.graph), shards=shards
+            WorkerSpec(small_world.graph), workers=workers, force_processes=True
         ) as scheduler:
             assert scheduler.run(tasks) == reference
-            assert scheduler.stats["tasks"] == len(tasks)
-            assert scheduler.stats["executed"] == len(tasks)
-            assert scheduler.stats["store_hits"] == 0
+            assert scheduler.stats == {
+                "tasks": len(tasks),
+                "store_hits": 0,
+                "executed": len(tasks),
+            }
 
-    @pytest.mark.parametrize("shards", [1, 2, 4])
-    def test_matches_single_pool_under_fault_injection(self, small_world, shards):
+    @pytest.mark.parametrize("workers", [1, 2, 4])
+    def test_chaos_matches_serial_reference(
+        self, small_world, workers
+    ):
         """Fault plans key on task fingerprints, not placement, so a
-        seeded chaos run is shard-count-invariant too."""
+        seeded chaos run is worker-count-invariant too."""
         tasks = _tasks(small_world)
         plan = FaultPlan.seeded(tasks, seed=3, rate=0.5, modes=("crash", "raise"))
         assert plan  # the seed must actually schedule faults
-        reference = _single_pool_reference(
-            small_world, tasks, retry=FAST, fault_plan=plan
-        )
+        reference = _serial_reference(small_world, tasks)
         with ShardedScheduler(
             WorkerSpec(small_world.graph, fault_plan=plan),
-            shards=shards,
+            workers=workers,
+            force_processes=True,
             retry=FAST,
         ) as scheduler:
             assert scheduler.run(tasks) == reference
@@ -74,7 +76,7 @@ class TestBitIdentityAcrossShards:
     def test_results_keep_task_order(self, small_world):
         tasks = _tasks(small_world)
         with ShardedScheduler(
-            WorkerSpec(small_world.graph), shards=4
+            WorkerSpec(small_world.graph), workers=4, force_processes=True
         ) as scheduler:
             results = scheduler.run(tasks)
         for task, result in zip(tasks, results):
@@ -89,7 +91,7 @@ class TestStoreIntegration:
         root = tmp_path / "store"
         with CampaignStore(root) as store:
             with ShardedScheduler(
-                WorkerSpec(small_world.graph), shards=2, store=store
+                WorkerSpec(small_world.graph), workers=2, store=store
             ) as scheduler:
                 first = scheduler.run(tasks)
             assert scheduler.stats["executed"] == len(tasks)
@@ -99,7 +101,7 @@ class TestStoreIntegration:
         with CampaignStore(root, metrics=metrics) as store:
             with ShardedScheduler(
                 WorkerSpec(small_world.graph),
-                shards=2,
+                workers=2,
                 store=store,
                 metrics=metrics,
             ) as scheduler:
@@ -108,28 +110,28 @@ class TestStoreIntegration:
                 "tasks": len(tasks),
                 "store_hits": len(tasks),
                 "executed": 0,
-                "steals": 0,
-                "stolen_tasks": 0,
             }
+            # an all-hits run never builds a context, pool or topology
+            assert scheduler.context is None
+            assert scheduler._pool is None
         assert second == first
-        # an all-hits run never builds an executor, engine or topology
         assert metrics.counter_value("scheduler.store_hits") == len(tasks)
         assert not any(
-            name.startswith("engine.") for name in metrics.counters
+            name.startswith(("engine.", "runner.shm.")) for name in metrics.counters
         )
 
     def test_partial_warm_store_runs_only_missing_cells(
         self, small_world, tmp_path
     ):
         tasks = _tasks(small_world)
-        reference = _single_pool_reference(small_world, tasks)
+        reference = _serial_reference(small_world, tasks)
         with CampaignStore(tmp_path / "store") as store:
             with ShardedScheduler(
-                WorkerSpec(small_world.graph), shards=2, store=store
+                WorkerSpec(small_world.graph), store=store
             ) as scheduler:
                 scheduler.run(tasks[: len(tasks) // 2])
             with ShardedScheduler(
-                WorkerSpec(small_world.graph), shards=2, store=store
+                WorkerSpec(small_world.graph), store=store
             ) as scheduler:
                 results = scheduler.run(tasks)
             assert scheduler.stats["store_hits"] == len(tasks) // 2
@@ -137,132 +139,141 @@ class TestStoreIntegration:
         assert results == reference
 
     def test_store_hits_cross_scheduler_shapes(self, small_world, tmp_path):
-        """Cells computed by a 1-shard serial run serve a 4-shard run:
-        content addressing is placement-blind."""
+        """Cells computed by a serial run serve a pooled run: content
+        addressing is placement-blind."""
         tasks = _tasks(small_world)
         with CampaignStore(tmp_path / "store") as store:
             with ShardedScheduler(
-                WorkerSpec(small_world.graph), shards=1, store=store
+                WorkerSpec(small_world.graph), store=store
             ) as scheduler:
                 first = scheduler.run(tasks)
             with ShardedScheduler(
-                WorkerSpec(small_world.graph), shards=4, store=store
+                WorkerSpec(small_world.graph),
+                workers=4,
+                force_processes=True,
+                store=store,
             ) as scheduler:
                 second = scheduler.run(tasks)
             assert scheduler.stats["executed"] == 0
         assert second == first
 
-
-class TestWorkStealing:
-    def _scheduler(self, world):
-        return ShardedScheduler(WorkerSpec(world.graph), shards=2)
-
-    def test_own_queue_drains_in_order(self, small_world):
-        with self._scheduler(small_world) as scheduler:
-            own = [_QueuedTask(i, None, f"fp-{i}") for i in range(4)]
-            queues = [deque(own), deque()]
-            scheduler.stats = {"steals": 0, "stolen_tasks": 0}
-            chunk = scheduler._take(queues, 0)
-            assert [q.index for q in chunk] == [0, 1, 2, 3]
-            assert not queues[0]
-            assert scheduler.stats["steals"] == 0
-
-    def test_steal_takes_tail_half_in_order(self, small_world):
-        """Classic discipline: the thief takes the tail half of the most
-        loaded queue (reversed back to original order); the owner keeps
-        the head it is about to run."""
-        with self._scheduler(small_world) as scheduler:
-            victim = [_QueuedTask(i, None, f"fp-{i}") for i in range(5)]
-            queues = [deque(victim), deque()]
-            scheduler.stats = {"steals": 0, "stolen_tasks": 0}
-            chunk = scheduler._take(queues, 1)
-            assert [q.index for q in chunk] == [2, 3, 4]
-            assert [q.index for q in queues[0]] == [0, 1]
-            assert scheduler.stats["steals"] == 1
-            assert scheduler.stats["stolen_tasks"] == 3
-
-    def test_take_on_all_empty_queues_returns_nothing(self, small_world):
-        with self._scheduler(small_world) as scheduler:
-            scheduler.stats = {"steals": 0, "stolen_tasks": 0}
-            assert scheduler._take([deque(), deque()], 0) == []
-            assert scheduler.stats["steals"] == 0
-
-
-class TestSupervisionComposition:
-    def test_shared_journal_checkpoints_every_task(self, small_world, tmp_path):
-        tasks = _tasks(small_world)
-        path = tmp_path / "journal.jsonl"
-        with CheckpointJournal(path) as journal:
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_quarantined_task_is_not_stored(self, small_world, tmp_path, workers):
+        """The store is truth about completed work only: a quarantined
+        task stays a TaskFailure in its slot and the next run retries
+        it, while its siblings replay."""
+        tasks = _tasks(small_world, count=4)
+        reference = _serial_reference(small_world, tasks)
+        poisoned = tasks[1]
+        plan = FaultPlan.for_tasks(
+            {poisoned: FaultSpec("raise", attempts=tuple(range(FAST.max_attempts)))}
+        )
+        root = tmp_path / "store"
+        with CampaignStore(root) as store:
             with ShardedScheduler(
-                WorkerSpec(small_world.graph), shards=2, journal=journal
+                WorkerSpec(small_world.graph, fault_plan=plan),
+                workers=workers,
+                force_processes=True,
+                retry=FAST,
+                store=store,
             ) as scheduler:
-                first = scheduler.run(tasks)
-            assert journal.completed_count == len(tasks)
+                results = scheduler.run(tasks)
+            assert isinstance(results[1], TaskFailure)
+            assert results[1].fingerprint == task_fingerprint(poisoned)
+            assert task_fingerprint(poisoned) not in store
+            assert len(store) == len(tasks) - 1
 
-        metrics = RunMetrics()
-        with CheckpointJournal(path) as journal:
+        with CampaignStore(root) as store:
             with ShardedScheduler(
-                WorkerSpec(small_world.graph),
-                shards=2,
-                journal=journal,
-                metrics=metrics,
+                WorkerSpec(small_world.graph), workers=workers, store=store
             ) as scheduler:
-                second = scheduler.run(tasks)
-        assert second == first
-        assert metrics.counter_value("runner.resumed_tasks") == len(tasks)
+                assert scheduler.run(tasks) == reference
+            assert scheduler.stats["executed"] == 1
+            assert len(store) == len(tasks)
 
-    def test_shard_metrics_merge_back(self, small_world):
-        tasks = _tasks(small_world)
-        metrics = RunMetrics()
-        with ShardedScheduler(
-            WorkerSpec(small_world.graph, metrics_enabled=True),
-            shards=2,
-            metrics=metrics,
-        ) as scheduler:
-            scheduler.run(tasks)
-        assert metrics.counter_value("worker.tasks") == len(tasks)
-        assert metrics.counter_value("scheduler.executed") == len(tasks)
+    def test_results_stream_into_the_store_as_they_land(
+        self, small_world, tmp_path
+    ):
+        """A run killed mid-list keeps every result settled before the
+        kill: write-back is per task, not per batch."""
+        tasks = _tasks(small_world, count=6)
+        kill_at = 4
+
+        class Killed(Exception):
+            pass
+
+        with CampaignStore(tmp_path / "store") as store:
+            put = store.put
+            calls = []
+
+            def put_until_killed(fingerprint, value, **kwargs):
+                calls.append(fingerprint)
+                if len(calls) == kill_at:
+                    raise Killed()
+                return put(fingerprint, value, **kwargs)
+
+            store.put = put_until_killed
+            with ShardedScheduler(
+                WorkerSpec(small_world.graph), store=store
+            ) as scheduler:
+                with pytest.raises(Killed):
+                    scheduler.run(tasks)
+            assert len(store) == kill_at - 1
 
 
 class TestGuards:
-    def test_zero_shards_rejected(self, small_world):
-        with pytest.raises(SimulationError, match="shards must be"):
-            ShardedScheduler(WorkerSpec(small_world.graph), shards=0)
-
     def test_engine_adoption_requires_serial_single_shard(
         self, small_world, monkeypatch
     ):
-        import repro.runner.executor as executor_mod
+        """Only a serial scheduler adopts the caller's engine; a pooled
+        one builds worker contexts from the spec and leaves the engine's
+        registry alone."""
+        import repro.runner.scheduler as scheduler_mod
 
-        monkeypatch.setattr(executor_mod, "available_cpus", lambda: 4)
-        engine = PropagationEngine(small_world.graph)
-        with pytest.raises(SimulationError, match="engine/cache adoption"):
-            ShardedScheduler(
-                WorkerSpec(small_world.graph), shards=2, engine=engine
-            )
-        with pytest.raises(SimulationError, match="engine/cache adoption"):
-            ShardedScheduler(
-                WorkerSpec(small_world.graph), shards=1, workers=2, engine=engine
-            )
-
-    def test_closed_scheduler_refuses_runs(self, small_world):
-        scheduler = ShardedScheduler(WorkerSpec(small_world.graph), shards=1)
-        scheduler.close()
-        scheduler.close()  # idempotent
-        with pytest.raises(SimulationError, match="closed"):
-            scheduler.run(_tasks(small_world))
-
-    def test_engine_metrics_restored_on_close(self, small_world):
-        """Serial engine adoption must not leave the scheduler's
-        registry attached to the caller's engine."""
+        monkeypatch.setattr(scheduler_mod, "available_cpus", lambda: 4)
         engine = PropagationEngine(small_world.graph)
         before = engine.metrics
         metrics = RunMetrics()
+        tasks = _tasks(small_world, count=4)
         with ShardedScheduler(
-            WorkerSpec(small_world.graph),
-            shards=1,
+            WorkerSpec(small_world.graph, metrics_enabled=True),
+            workers=2,
             metrics=metrics,
             engine=engine,
         ) as scheduler:
+            assert scheduler.run(tasks) == _serial_reference(small_world, tasks)
+            assert engine.metrics is before
+            assert scheduler.context is None
+        with ShardedScheduler(
+            WorkerSpec(small_world.graph), metrics=metrics, engine=engine
+        ) as scheduler:
+            scheduler.run(tasks)
+            assert scheduler.context.engine is engine
+
+    def test_closed_scheduler_refuses_runs(self, small_world):
+        for workers in (1, 2):
+            scheduler = ShardedScheduler(
+                WorkerSpec(small_world.graph), workers=workers, force_processes=True
+            )
+            scheduler.close()
+            scheduler.close()  # idempotent
+            assert scheduler.closed
+            with pytest.raises(SimulationError, match="closed"):
+                scheduler.run(_tasks(small_world))
+
+    def test_engine_metrics_restored_on_close(self, small_world):
+        """Serial engine adoption must not leave the scheduler's
+        registry attached to the caller's engine or cache."""
+        engine = PropagationEngine(small_world.graph)
+        cache = BaselineCache(engine)
+        before = engine.metrics, cache.metrics
+        metrics = RunMetrics()
+        with ShardedScheduler(
+            WorkerSpec(small_world.graph),
+            metrics=metrics,
+            engine=engine,
+            cache=cache,
+        ) as scheduler:
             scheduler.run(_tasks(small_world, count=4))
-        assert engine.metrics is before
+            assert engine.metrics is metrics
+        assert (engine.metrics, cache.metrics) == before

@@ -12,7 +12,7 @@ fallback is exercised.
 from __future__ import annotations
 
 from repro.runner import (
-    SweepExecutor,
+    ShardedScheduler,
     SweepPointTask,
     WorkerSpec,
 )
@@ -29,7 +29,7 @@ def _tasks(world):
 
 
 def _serial_reference(spec, tasks):
-    with SweepExecutor(spec, workers=1, metrics=RunMetrics()) as serial:
+    with ShardedScheduler(spec, workers=1, metrics=RunMetrics()) as serial:
         return serial.run(tasks)
 
 
@@ -39,7 +39,7 @@ def test_pool_workers_bootstrap_from_shared_memory(small_world):
     reference = _serial_reference(spec, tasks)
 
     metrics = RunMetrics()
-    with SweepExecutor(
+    with ShardedScheduler(
         spec, workers=2, force_processes=True, metrics=metrics
     ) as pool:
         results = pool.run(tasks)
@@ -60,19 +60,19 @@ def test_shm_failure_falls_back_to_pickled_graph(small_world, monkeypatch):
     """If shared memory is unavailable the executor ships the original
     graph-pickling spec; workers still run, results stay identical, and
     the telemetry records both the fallback and the pickles."""
-    import repro.runner.executor as executor_mod
+    import repro.runner.scheduler as scheduler_mod
 
     def broken_publish(topo):
         raise OSError("no /dev/shm")
 
-    monkeypatch.setattr(executor_mod, "publish_topology", broken_publish)
+    monkeypatch.setattr(scheduler_mod, "publish_topology", broken_publish)
 
     spec = WorkerSpec(small_world.graph, metrics_enabled=True)
     tasks = _tasks(small_world)
     reference = _serial_reference(spec, tasks)
 
     metrics = RunMetrics()
-    with SweepExecutor(
+    with ShardedScheduler(
         spec, workers=2, force_processes=True, metrics=metrics
     ) as pool:
         results = pool.run(tasks)
@@ -93,7 +93,7 @@ def test_reference_backend_pool_keeps_pickled_graph_path(small_world):
     reference = _serial_reference(spec, tasks)
 
     metrics = RunMetrics()
-    with SweepExecutor(
+    with ShardedScheduler(
         spec, workers=2, force_processes=True, metrics=metrics
     ) as pool:
         shipped = pool._pool_spec()
@@ -109,7 +109,7 @@ def test_serial_path_never_touches_shared_memory(small_world):
     """workers=1 runs in-process: no segment, no shm counters at all."""
     spec = WorkerSpec(small_world.graph, metrics_enabled=True)
     metrics = RunMetrics()
-    with SweepExecutor(spec, workers=1, metrics=metrics) as serial:
+    with ShardedScheduler(spec, workers=1, metrics=metrics) as serial:
         serial.run(_tasks(small_world))
         assert serial._shm_segment is None
     assert all(not name.startswith("runner.shm.") for name in metrics.counters)
@@ -123,11 +123,11 @@ def test_deterministic_snapshot_invariant_across_transport(small_world):
     tasks = _tasks(small_world)
 
     serial_metrics = RunMetrics()
-    with SweepExecutor(spec, workers=1, metrics=serial_metrics) as serial:
+    with ShardedScheduler(spec, workers=1, metrics=serial_metrics) as serial:
         serial.run(tasks)
 
     pool_metrics = RunMetrics()
-    with SweepExecutor(
+    with ShardedScheduler(
         spec, workers=2, force_processes=True, metrics=pool_metrics
     ) as pool:
         pool.run(tasks)
@@ -136,3 +136,64 @@ def test_deterministic_snapshot_invariant_across_transport(small_world):
         serial_metrics.deterministic_snapshot()
         == pool_metrics.deterministic_snapshot()
     )
+
+
+_POOLED_GRID_SCRIPT = """
+import repro.runner.scheduler as scheduler_mod
+from repro.bgp.engine import PropagationEngine
+from repro.experiments.base import build_world
+from repro.experiments.sweeps import exhaustive_grid
+
+publish = scheduler_mod.publish_topology
+
+
+def recording_publish(topo):
+    segment, handle = publish(topo)
+    print(handle.name, flush=True)
+    return segment, handle
+
+
+scheduler_mod.publish_topology = recording_publish
+scheduler_mod.available_cpus = lambda: 2  # a real pool even on one CPU
+topology = build_world(seed=7, scale=0.25).topology
+engine = PropagationEngine(topology.graph, mode="delta")
+rows = exhaustive_grid(
+    engine,
+    attackers=topology.transit_ases[:4],
+    victims=topology.graph.ases[:6],
+    origin_padding=3,
+    workers=2,
+)
+assert rows
+"""
+
+
+def test_pooled_grid_leaves_no_tracker_traceback_or_segment():
+    """Pool workers share the parent's resource tracker: a worker-side
+    ``unregister`` made the parent's final ``unlink()`` print a
+    ``KeyError: '/psm_…'`` traceback on every pooled run.  The run must
+    be silent on stderr and leave no segment behind."""
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import repro
+
+    src = str(Path(repro.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run(
+        [sys.executable, "-c", _POOLED_GRID_SCRIPT],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert "KeyError" not in proc.stderr
+    assert "resource_tracker" not in proc.stderr
+    assert "Traceback" not in proc.stderr
+    names = proc.stdout.split()
+    assert names, "the grid must have published a shared-memory topology"
+    for name in names:
+        assert not (Path("/dev/shm") / name.lstrip("/")).exists()

@@ -1,4 +1,4 @@
-"""The deployment_sweep family: curve shapes, workers, checkpointing."""
+"""The deployment_sweep family: curve shapes, workers, store resume."""
 
 from __future__ import annotations
 
@@ -9,7 +9,8 @@ import pytest
 from repro.bgp.engine import PropagationEngine
 from repro.exceptions import SimulationError
 from repro.experiments.sweeps import deployment_sweep
-from repro.runner import BaselineCache, CheckpointJournal, DeploymentPointTask
+from repro.runner import BaselineCache, DeploymentPointTask
+from repro.store import CampaignStore
 from repro.topology.generators import InternetTopologyConfig, generate_internet_topology
 
 TINY = InternetTopologyConfig(
@@ -118,64 +119,37 @@ class TestCheckpointing:
         self, world, engine, tmp_path
     ):
         victim, attacker = world.tier1[0], world.tier2[0]
-        journal_path = tmp_path / "sweep.jsonl"
-        first = _sweep(
-            engine, "aspa", victim=victim, attacker=attacker, checkpoint=journal_path
-        )
-        with CheckpointJournal(journal_path) as journal:
-            assert journal.completed_count == len(FRACTIONS)
-        # Same configuration: every point replays from the journal.
-        replayed = _sweep(
-            engine, "aspa", victim=victim, attacker=attacker, checkpoint=journal_path
-        )
-        assert [r.row() for r in replayed] == [r.row() for r in first]
-        with CheckpointJournal(journal_path) as journal:
-            assert journal.completed_count == len(FRACTIONS)
-        # A different policy shares no fingerprints: nothing replays,
-        # every point is computed and journaled anew.
-        other = _sweep(
-            engine,
-            "prependguard",
-            victim=victim,
-            attacker=attacker,
-            checkpoint=journal_path,
-        )
-        assert [r.policy for r in other] == ["prependguard"] * len(FRACTIONS)
-        with CheckpointJournal(journal_path) as journal:
-            assert journal.completed_count == 2 * len(FRACTIONS)
+        with CampaignStore(tmp_path / "store") as store:
+            first = _sweep(engine, "aspa", victim=victim, attacker=attacker, store=store)
+            assert len(store) == len(FRACTIONS)
+            # Same configuration: every point replays from the store.
+            replayed = _sweep(
+                engine, "aspa", victim=victim, attacker=attacker, store=store
+            )
+            assert [r.row() for r in replayed] == [r.row() for r in first]
+            assert len(store) == len(FRACTIONS)
+            # A different policy shares no fingerprints: nothing replays,
+            # every point is computed and stored anew.
+            other = _sweep(
+                engine, "prependguard", victim=victim, attacker=attacker, store=store
+            )
+            assert [r.policy for r in other] == ["prependguard"] * len(FRACTIONS)
+            assert len(store) == 2 * len(FRACTIONS)
 
     def test_strategy_and_seed_are_fingerprinted(self, world, engine, tmp_path):
         victim, attacker = world.tier1[0], world.tier2[0]
-        journal_path = tmp_path / "sweep.jsonl"
-        _sweep(
-            engine,
-            "aspa",
-            victim=victim,
-            attacker=attacker,
-            fractions=(0.5,),
-            checkpoint=journal_path,
-        )
-        _sweep(
-            engine,
-            "aspa",
-            victim=victim,
-            attacker=attacker,
-            fractions=(0.5,),
-            strategy="random",
-            checkpoint=journal_path,
-        )
-        _sweep(
-            engine,
-            "aspa",
-            victim=victim,
-            attacker=attacker,
-            fractions=(0.5,),
-            strategy="random",
-            seed=99,
-            checkpoint=journal_path,
-        )
-        with CheckpointJournal(journal_path) as journal:
-            assert journal.completed_count == 3
+        with CampaignStore(tmp_path / "store") as store:
+            for variant in ({}, {"strategy": "random"}, {"strategy": "random", "seed": 99}):
+                _sweep(
+                    engine,
+                    "aspa",
+                    victim=victim,
+                    attacker=attacker,
+                    fractions=(0.5,),
+                    store=store,
+                    **variant,
+                )
+            assert len(store) == 3
 
 
 class TestTaskValidation:

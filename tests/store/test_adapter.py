@@ -1,19 +1,28 @@
-"""StoreJournal and legacy-journal import: both resume paths stay green."""
+"""Legacy checkpoint journals and store-backed resume.
+
+Older releases checkpointed runs into a private JSONL journal; the
+campaign store replaced it, and :func:`repro.store.import_journal` is
+the read-only bridge that lifts such a journal's successes into a
+store.  The journal-parsing rules live here: last record per
+fingerprint wins, failures are not replayed, truncated and non-record
+lines are skipped.
+"""
 
 from __future__ import annotations
 
-import pytest
+import base64
+import json
+import pickle
 
 from repro.runner import (
-    CheckpointJournal,
     RetryPolicy,
-    SupervisedExecutor,
+    ShardedScheduler,
     SweepPointTask,
     WorkerContext,
     WorkerSpec,
     task_fingerprint,
 )
-from repro.store import CampaignStore, StoreJournal, import_journal
+from repro.store import CampaignStore, import_journal
 from repro.telemetry.metrics import RunMetrics
 
 FAST = RetryPolicy(backoff_base=0.01, backoff_max=0.05)
@@ -27,40 +36,24 @@ def _tasks(world, count=4):
     ]
 
 
-class TestStoreJournalProtocol:
-    def test_success_roundtrip(self, tmp_path):
-        with CampaignStore(tmp_path / "store") as store:
-            journal = StoreJournal(store)
-            assert not journal.completed("fp-1")
-            journal.record_success("fp-1", {"value": 42})
-            assert journal.completed("fp-1")
-            assert journal.result_for("fp-1") == {"value": 42}
-            assert journal.completed_count == 1
+def _ok(fingerprint, result):
+    payload = base64.b64encode(pickle.dumps(result)).decode("ascii")
+    return {"fp": fingerprint, "status": "ok", "payload": payload}
 
-    def test_result_for_missing_raises_keyerror(self, tmp_path):
-        with CampaignStore(tmp_path / "store") as store:
-            journal = StoreJournal(store)
-            with pytest.raises(KeyError):
-                journal.result_for("fp-unknown")
 
-    def test_failures_stay_in_memory(self, tmp_path):
-        """The store is truth about completed work only: a quarantined
-        task must be retried by the next run, not remembered forever."""
-        root = tmp_path / "store"
-        with CampaignStore(root) as store:
-            journal = StoreJournal(store)
-            journal.record_failure("fp-bad", kind="crash", attempts=3, error="boom")
-            assert journal.failed("fp-bad")
-            assert len(store) == 0
-            assert len(journal) == 1
-        with CampaignStore(root) as store:
-            assert not StoreJournal(store).failed("fp-bad")
+def _failed(fingerprint):
+    return {
+        "fp": fingerprint,
+        "status": "failed",
+        "kind": "crash",
+        "attempts": 3,
+        "error": "boom",
+    }
 
-    def test_close_leaves_store_open(self, tmp_path):
-        with CampaignStore(tmp_path / "store") as store:
-            with StoreJournal(store) as journal:
-                journal.record_success("fp-1", 1.0)
-            store.put("fp-2", 2.0)  # store still usable after journal close
+
+def _write_journal(path, records, tail=""):
+    lines = [json.dumps(record, sort_keys=True) for record in records]
+    path.write_text("".join(line + "\n" for line in lines) + tail)
 
 
 class TestSupervisedResumeThroughStore:
@@ -70,23 +63,18 @@ class TestSupervisedResumeThroughStore:
         spec = WorkerSpec(small_world.graph)
 
         with CampaignStore(root) as store:
-            with SupervisedExecutor(
-                spec, workers=1, retry=FAST, journal=StoreJournal(store)
-            ) as executor:
-                first = executor.run(tasks)
+            with ShardedScheduler(spec, retry=FAST, store=store) as scheduler:
+                first = scheduler.run(tasks)
             assert len(store) == len(tasks)
 
         metrics = RunMetrics()
         with CampaignStore(root) as store:
-            with SupervisedExecutor(
-                spec,
-                workers=1,
-                retry=FAST,
-                metrics=metrics,
-                journal=StoreJournal(store),
-            ) as executor:
-                second = executor.run(tasks)
-        assert metrics.counter_value("runner.resumed_tasks") == len(tasks)
+            with ShardedScheduler(
+                spec, retry=FAST, metrics=metrics, store=store
+            ) as scheduler:
+                second = scheduler.run(tasks)
+        assert metrics.counter_value("scheduler.store_hits") == len(tasks)
+        assert metrics.counter_value("worker.tasks") == 0
         assert second == first
 
     def test_store_resume_matches_serial_reference(self, tmp_path, small_world):
@@ -94,95 +82,101 @@ class TestSupervisedResumeThroughStore:
         ctx = WorkerContext(WorkerSpec(small_world.graph))
         reference = [task.run(ctx) for task in tasks]
         with CampaignStore(tmp_path / "store") as store:
-            with SupervisedExecutor(
-                WorkerSpec(small_world.graph),
-                workers=1,
-                retry=FAST,
-                journal=StoreJournal(store),
-            ) as executor:
-                executor.run(tasks)
-            replayed = [
-                store.get(task_fingerprint(task)) for task in tasks
-            ]
+            with ShardedScheduler(
+                WorkerSpec(small_world.graph), retry=FAST, store=store
+            ) as scheduler:
+                scheduler.run(tasks)
+            replayed = [store.get(task_fingerprint(task)) for task in tasks]
         assert replayed == reference
-
-
-class TestJournalCompaction:
-    def test_compact_drops_superseded_records(self, tmp_path):
-        path = tmp_path / "journal.jsonl"
-        with CheckpointJournal(path) as journal:
-            journal.record_failure("fp-1", kind="crash", attempts=1, error="x")
-            journal.record_success("fp-1", "recovered")
-            journal.record_success("fp-2", "clean")
-            assert journal.compact() == 1  # the superseded failure line
-            # last-record-wins truth is preserved
-            assert journal.completed("fp-1")
-            assert journal.result_for("fp-1") == "recovered"
-        with CheckpointJournal(path) as reopened:
-            assert reopened.completed("fp-1")
-            assert reopened.result_for("fp-1") == "recovered"
-            assert reopened.result_for("fp-2") == "clean"
-            assert reopened.compact() == 0
-
-    def test_journal_usable_after_compact(self, tmp_path):
-        with CheckpointJournal(tmp_path / "journal.jsonl") as journal:
-            journal.record_success("fp-1", 1)
-            journal.compact()
-            journal.record_success("fp-2", 2)
-            assert journal.result_for("fp-2") == 2
 
 
 class TestImportJournal:
     def test_import_lifts_successes_only(self, tmp_path):
         path = tmp_path / "journal.jsonl"
-        with CheckpointJournal(path) as journal:
-            journal.record_success("fp-1", "one")
-            journal.record_success("fp-2", "two")
-            journal.record_failure("fp-3", kind="crash", attempts=2, error="x")
+        _write_journal(
+            path, [_ok("fp-1", "one"), _ok("fp-2", "two"), _failed("fp-3")]
+        )
+        before = path.read_bytes()
         with CampaignStore(tmp_path / "store") as store:
             assert import_journal(path, store) == 2
             assert store.get("fp-1") == "one"
             assert store.get("fp-2") == "two"
             assert "fp-3" not in store
             # idempotent: everything dedupes on the second import
-            assert import_journal(path, store) == 0
-        # journal left untouched: the legacy path stays green
-        with CheckpointJournal(path) as journal:
-            assert journal.completed("fp-1")
-            assert journal.failed("fp-3")
+            assert import_journal(str(path), store) == 0
+        # the journal is only read
+        assert path.read_bytes() == before
 
-    def test_import_accepts_open_journal(self, tmp_path):
-        with CheckpointJournal(tmp_path / "journal.jsonl") as journal:
-            journal.record_success("fp-1", "one")
-            with CampaignStore(tmp_path / "store") as store:
-                assert import_journal(journal, store) == 1
-            # caller-owned journal is not closed by the import
-            journal.record_success("fp-2", "two")
+    def test_failure_records_are_not_imported(self, tmp_path):
+        """A journaled failure documents the quarantine but must not be
+        replayed as a result — the next run retries the task."""
+        path = tmp_path / "journal.jsonl"
+        _write_journal(path, [_failed("fp-1")])
+        with CampaignStore(tmp_path / "store") as store:
+            assert import_journal(path, store) == 0
+            assert len(store) == 0
+
+    def test_tolerates_truncated_final_line(self, tmp_path):
+        """A crash mid-append leaves a partial line; every record before
+        it still imports."""
+        path = tmp_path / "journal.jsonl"
+        _write_journal(
+            path,
+            [_ok("fp-1", (4.0, 5.0))],
+            tail='{"fp": "abc", "status": "ok", "payl',
+        )
+        with CampaignStore(tmp_path / "store") as store:
+            assert import_journal(path, store) == 1
+            assert store.get("fp-1") == (4.0, 5.0)
+            assert "abc" not in store
+
+    def test_ignores_non_record_json(self, tmp_path):
+        path = tmp_path / "journal.jsonl"
+        path.write_text(json.dumps({"unrelated": True}) + "\n[1, 2]\n\n")
+        with CampaignStore(tmp_path / "store") as store:
+            assert import_journal(path, store) == 0
+
+    def test_success_overrides_earlier_failure(self, tmp_path):
+        path = tmp_path / "journal.jsonl"
+        _write_journal(
+            path,
+            [
+                _failed("fp-1"),
+                _ok("fp-1", "fine"),
+                _ok("fp-2", "stale"),
+                _failed("fp-2"),
+            ],
+        )
+        with CampaignStore(tmp_path / "store") as store:
+            assert import_journal(path, store) == 1
+            assert store.get("fp-1") == "fine"
+            # last record wins: a later failure supersedes a success
+            assert "fp-2" not in store
 
     def test_imported_journal_serves_a_supervised_resume(
         self, tmp_path, small_world
     ):
-        """The satellite end-to-end: run with a legacy journal, import
-        it, and a store-backed rerun resumes every task."""
+        """End to end: a journal holding a run's results, imported, lets
+        a store-backed rerun resume every task without executing any."""
         tasks = _tasks(small_world)
-        spec = WorkerSpec(small_world.graph)
+        ctx = WorkerContext(WorkerSpec(small_world.graph))
+        first = [task.run(ctx) for task in tasks]
         path = tmp_path / "journal.jsonl"
-        with CheckpointJournal(path) as journal:
-            with SupervisedExecutor(
-                spec, workers=1, retry=FAST, journal=journal
-            ) as executor:
-                first = executor.run(tasks)
+        _write_journal(
+            path,
+            [_ok(task_fingerprint(task), result) for task, result in zip(tasks, first)],
+        )
 
         metrics = RunMetrics()
         with CampaignStore(tmp_path / "store") as store:
             assert import_journal(path, store) == len(tasks)
-            with SupervisedExecutor(
-                spec,
-                workers=1,
+            with ShardedScheduler(
+                WorkerSpec(small_world.graph),
                 retry=FAST,
                 metrics=metrics,
-                journal=StoreJournal(store),
-            ) as executor:
-                second = executor.run(tasks)
-        assert metrics.counter_value("runner.resumed_tasks") == len(tasks)
+                store=store,
+            ) as scheduler:
+                second = scheduler.run(tasks)
+        assert metrics.counter_value("scheduler.store_hits") == len(tasks)
+        assert metrics.counter_value("worker.tasks") == 0
         assert second == first

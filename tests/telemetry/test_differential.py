@@ -22,7 +22,7 @@ from repro.experiments.fig09_tier1_vs_tier1 import run as run_fig09
 from repro.experiments.sweeps import padding_sweep
 from repro.runner import (
     BaselineCache,
-    SweepExecutor,
+    ShardedScheduler,
     SweepPointTask,
     WorkerSpec,
 )
@@ -111,10 +111,10 @@ class TestPooledAggregationIsExact:
             metrics_enabled=True,
         )
         serial_metrics = RunMetrics()
-        with SweepExecutor(spec, workers=1, metrics=serial_metrics) as executor:
+        with ShardedScheduler(spec, workers=1, metrics=serial_metrics) as executor:
             serial_results = executor.run(tasks)
         pooled_metrics = RunMetrics()
-        with SweepExecutor(
+        with ShardedScheduler(
             spec, workers=2, force_processes=True, metrics=pooled_metrics
         ) as executor:
             pooled_results = executor.run(tasks)
@@ -138,14 +138,14 @@ class TestPooledAggregationIsExact:
     def test_executor_metrics_property(self, generated_world):
         engine, world = generated_world
         spec = WorkerSpec(world.graph, max_activations=engine.max_activations)
-        with SweepExecutor(spec, workers=1) as executor:
+        with ShardedScheduler(spec, workers=1) as executor:
             assert executor.metrics is None
         enabled_spec = WorkerSpec(
             world.graph,
             max_activations=engine.max_activations,
             metrics_enabled=True,
         )
-        with SweepExecutor(enabled_spec, workers=1) as executor:
+        with ShardedScheduler(enabled_spec, workers=1) as executor:
             assert executor.metrics is not None
 
     def test_serial_cache_hits_survive_prefetch_shape(self, generated_world):

@@ -224,34 +224,60 @@ class TestResilienceFlags:
         main(self.ARGS + ["--retries", "5"])
         assert capsys.readouterr().out == plain
 
-    def test_invalid_retries_rejected(self):
-        from repro.exceptions import SimulationError
+    @pytest.mark.parametrize(
+        "flag, value",
+        [("--workers", "-3"), ("--retries", "0"), ("--task-deadline", "-1")],
+        ids=["workers", "retries", "task-deadline"],
+    )
+    def test_invalid_retries_rejected(self, capsys, flag, value):
+        with pytest.raises(SystemExit) as exc:
+            main(self.ARGS + [flag, value])
+        assert exc.value.code == 2
+        assert flag in capsys.readouterr().err
 
-        with pytest.raises(SimulationError):
-            main(self.ARGS + ["--retries", "0"])
+    def _metered(self, store, metrics_out):
+        return self.ARGS + [
+            "--resume", str(store), "--metrics", "jsonl", "--metrics-out", str(metrics_out)
+        ]
 
     def test_resume_writes_journal_and_replays_it(self, capsys, tmp_path):
-        path = str(tmp_path / "campaign.jsonl")
-        assert main(self.ARGS + ["--resume", path]) == 0
-        first = capsys.readouterr().out
-        lines = (tmp_path / "campaign.jsonl").read_text().splitlines()
-        assert len(lines) == 4
+        """``--resume`` names a campaign store: the first run fills it,
+        the second is served entirely from it with the same output."""
+        from repro.telemetry.report import read_jsonl
 
-        # Second run replays every journaled instance; same summary.
-        assert main(self.ARGS + ["--resume", path]) == 0
+        store, metrics_out = tmp_path / "campaign", tmp_path / "metrics.jsonl"
+        assert main(self._metered(store, metrics_out)) == 0
+        first = capsys.readouterr().out
+        lines = (store / "records.jsonl").read_text().splitlines()
+        assert len(lines) == 4
+        assert read_jsonl(metrics_out).counter_value("scheduler.executed") == 4
+
+        assert main(self._metered(store, metrics_out)) == 0
         assert capsys.readouterr().out == first
-        assert (tmp_path / "campaign.jsonl").read_text().splitlines() == lines
+        metrics = read_jsonl(metrics_out)
+        assert metrics.counter_value("scheduler.store_hits") == 4
+        assert metrics.counter_value("scheduler.executed") == 0
+        assert (store / "records.jsonl").read_text().splitlines() == lines
 
     def test_resume_after_truncation_completes_the_campaign(self, capsys, tmp_path):
-        journal = tmp_path / "campaign.jsonl"
-        main(self.ARGS + ["--resume", str(journal)])
+        store = tmp_path / "campaign"
+        main(self.ARGS + ["--resume", str(store)])
         reference = capsys.readouterr().out
-        lines = journal.read_text().splitlines()
-        journal.write_text("\n".join(lines[:2]) + "\n")
+        log = store / "records.jsonl"
+        lines = log.read_text().splitlines()
+        log.write_text("\n".join(lines[:2]) + "\n")
 
-        assert main(self.ARGS + ["--resume", str(journal)]) == 0
+        assert main(self.ARGS + ["--resume", str(store)]) == 0
         assert capsys.readouterr().out == reference
-        assert len(journal.read_text().splitlines()) == len(lines)
+        assert len(log.read_text().splitlines()) == len(lines)
+
+    def test_resume_rejects_a_legacy_journal_file(self, capsys, tmp_path):
+        journal = tmp_path / "campaign.jsonl"
+        journal.write_text("")
+        with pytest.raises(SystemExit) as exc:
+            main(self.ARGS + ["--resume", str(journal)])
+        assert exc.value.code == 2
+        assert f"--import-journal {journal}" in capsys.readouterr().err
 
 
 class TestSecpolSweepCommand:
@@ -295,16 +321,16 @@ class TestSecpolSweepCommand:
         assert "secpol.deployed_ases" in out
 
     def test_resume_writes_and_replays_the_journal(self, capsys, tmp_path):
-        journal = tmp_path / "secpol.jsonl"
-        args = self.ARGS + ["--policy", "aspa", "--resume", str(journal)]
+        store = tmp_path / "secpol"
+        args = self.ARGS + ["--policy", "aspa", "--resume", str(store)]
         assert main(args) == 0
         first = capsys.readouterr().out
-        lines = journal.read_text().splitlines()
+        lines = (store / "records.jsonl").read_text().splitlines()
         assert len(lines) == 2
 
         assert main(args) == 0
         assert capsys.readouterr().out == first
-        assert journal.read_text().splitlines() == lines
+        assert (store / "records.jsonl").read_text().splitlines() == lines
 
     def test_unknown_policy_rejected(self):
         with pytest.raises(SystemExit):
